@@ -91,8 +91,10 @@ class MoaraConfig:
     #: Seconds an aggregating node waits for children before answering with
     #: what it has; None waits indefinitely (the PlanetLab methodology).
     child_timeout: Optional[float] = None
-    #: How long a node remembers answered query ids for duplicate
-    #: suppression across cover groups (paper: "cached for 5 minutes").
+    #: How long, at least, a node remembers answered query ids for
+    #: duplicate suppression across cover groups (paper: "cached for 5
+    #: minutes"); the memory is generational, so an id is forgotten
+    #: between one and two of these after it was seen.
     answered_ttl: float = 300.0
     #: Factory for the per-node predicate-state GC policy (Section 4 lists
     #: idle-timeout, keep-last-k, and least-frequently-queried; see
@@ -211,11 +213,23 @@ class MoaraNode:
         #: predicate canonical key -> tree state
         self.states: dict[str, PredicateTreeState] = {}
         self._pending: dict[tuple[str, str], _PendingQuery] = {}
+        # Duplicate suppression keeps *membership*, not expiry times, in
+        # two generations rotated on the engine clock every
+        # ``answered_ttl`` (see :meth:`_rotate`): an id is looked up in
+        # both, so it is remembered for between 1x and 2x the TTL.  Query
+        # ids never recur, so the extra memory is invisible, and every
+        # decision inside ``answered_ttl`` is the one per-entry expiries
+        # made.  Plain ``{id: None}`` dicts: about half the bytes per
+        # entry of a small set, and a third of a tuple key + float value.
         #: query ids whose local value we already contributed (dedup across
-        #: the multiple trees of a composite cover), with expiry times.
-        self._answered: dict[str, float] = {}
-        #: (qid, pred_key) pairs already processed (duplicate delivery guard).
-        self._seen_queries: dict[tuple[str, str], float] = {}
+        #: the multiple trees of a composite cover): current and previous
+        #: generation.
+        self._answered: dict[str, None] = {}
+        self._answered_old: dict[str, None] = {}
+        #: pred_key -> query ids already processed for that tree
+        #: (duplicate delivery guard): current and previous generation.
+        self._seen: dict[str, dict[str, None]] = {}
+        self._seen_old: dict[str, dict[str, None]] = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
         factory = self.config.gc_policy_factory
@@ -226,13 +240,8 @@ class MoaraNode:
         self._child_timeout = self.config.child_timeout
         self._share_executions = self.config.share_executions
         self._gc_enabled = type(self.gc_policy) is not NoGC
-        # Adaptive prune thresholds for the duplicate-suppression caches.
-        # They double whenever a prune cannot get under the limit (all
-        # entries still live), so a workload with more concurrent queries
-        # than the limit pays amortized O(1) per query instead of one
-        # full-dict rebuild per received query (quadratic at 10k scale).
-        self._answered_limit = 1024
-        self._seen_limit = 4096
+        #: engine time of the next duplicate-suppression rotation.
+        self._rotate_at = self._engine._now + self._answered_ttl
         #: churn-adaptive TTL policy for the result cache (None when the
         #: cache is disabled or the operator pinned a fixed TTL).  Each
         #: node tracks churn it observes itself -- STATUS_UPDATE arrivals
@@ -574,18 +583,22 @@ class MoaraNode:
         qkey = (qid, pred_key)
         now = self._engine._now
         reply_to = message.src
-        if qkey in self._pending or self._seen_queries.get(qkey, -1.0) >= now:
+        if now >= self._rotate_at:
+            self._rotate(now)
+        seen = self._seen.get(pred_key)
+        if seen is None:
+            seen = self._seen[pred_key] = {}
+        if (
+            qkey in self._pending
+            or qid in seen
+            or qid in self._seen_old.get(pred_key, ())
+        ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
-        self._seen_queries[qkey] = now + self._answered_ttl
-        if (
-            len(self._answered) > self._answered_limit
-            or len(self._seen_queries) > self._seen_limit
-        ):
-            self._prune_caches(now)
+        seen[qid] = None
         if self._gc_enabled:
             self.gc_policy.on_query(self, pred_key, now)
             for candidate in self.gc_policy.collect(self, now):
@@ -626,7 +639,7 @@ class MoaraNode:
         live_targets = self.network.filter_alive(targets) if targets else targets
 
         query = payload["query"]
-        partial, contributed = self._local_contribution(qid, query, now)
+        partial, contributed = self._local_contribution(qid, query)
         if not live_targets:
             self._send_reply(
                 state, qid, reply_to, mt.QUERY_RESPONSE, partial, int(contributed)
@@ -682,18 +695,22 @@ class MoaraNode:
         pred_key = state.pred_key
         key = (qid, pred_key)
         now = self._engine._now
-        if key in self._pending or self._seen_queries.get(key, -1.0) >= now:
+        if now >= self._rotate_at:
+            self._rotate(now)
+        seen = self._seen.get(pred_key)
+        if seen is None:
+            seen = self._seen[pred_key] = {}
+        if (
+            key in self._pending
+            or qid in seen
+            or qid in self._seen_old.get(pred_key, ())
+        ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, reply_mtype, None, 0)
             return
-        self._seen_queries[key] = now + self._answered_ttl
-        if (
-            len(self._answered) > self._answered_limit
-            or len(self._seen_queries) > self._seen_limit
-        ):
-            self._prune_caches(now)
+        seen[qid] = None
         if self._gc_enabled:
             self.gc_policy.on_query(self, pred_key, now)
             # Sweep other predicates; the one being processed right now is
@@ -721,7 +738,7 @@ class MoaraNode:
         # The DHT's failure detector: skip targets known to be dead.
         live_targets = self.network.filter_alive(targets)
 
-        partial, contributed = self._local_contribution(qid, query, now)
+        partial, contributed = self._local_contribution(qid, query)
         if not live_targets:
             if exec_key is not None:
                 self._remember_result(
@@ -764,16 +781,13 @@ class MoaraNode:
                 self._child_timeout, self._on_timeout, key
             )
 
-    def _local_contribution(
-        self, qid: str, query: Query, now: float
-    ) -> tuple[Any, bool]:
+    def _local_contribution(self, qid: str, query: Query) -> tuple[Any, bool]:
         """Our own (value, contributed) for a query, with composite-cover
         duplicate suppression (Section 6.2)."""
         attrs = self._attr_data
         if not query.predicate.evaluate(attrs):
             return None, False
-        expiry = self._answered.get(qid)
-        if expiry is not None and expiry >= now:
+        if qid in self._answered or qid in self._answered_old:
             return None, False  # already answered via another cover group
         if query.attr == STAR_ATTRIBUTE:
             value: Any = 1
@@ -781,7 +795,7 @@ class MoaraNode:
             value = attrs[query.attr]
         else:
             return None, False  # satisfies the group but lacks the attribute
-        self._answered[qid] = now + self._answered_ttl
+        self._answered[qid] = None
         return query.function.lift(value, self.node_id), True
 
     def _handle_response(self, message: Message) -> None:
@@ -953,27 +967,23 @@ class MoaraNode:
             self.node_id, reply_to, reply_mtype, payload
         )
 
-    def _prune_caches(self, now: float) -> None:
-        """Drop expired duplicate-suppression entries.
+    def _rotate(self, now: float) -> None:
+        """Age the duplicate-suppression memory by one generation.
 
-        Pruning frequency is invisible to the protocol (expired entries
-        are never consulted positively), so the limits may grow freely:
-        when a prune leaves the dict over its limit -- every entry still
-        live, e.g. a burst of more concurrent queries than the limit --
-        the limit doubles rather than re-scanning on every later query.
+        Runs from the query handlers when the engine clock passes
+        ``_rotate_at``: the current generation becomes the previous one
+        and the previous one is dropped, so nothing is scanned and
+        nothing younger than ``answered_ttl`` is ever forgotten.  A node
+        idle for a further ``answered_ttl`` past the rotation time holds
+        only ids older than the TTL in *both* generations (any later
+        arrival would have rotated first) and drops both.
         """
-        if len(self._answered) > self._answered_limit:
-            self._answered = {
-                qid: exp for qid, exp in self._answered.items() if exp >= now
-            }
-            while len(self._answered) > self._answered_limit:
-                self._answered_limit *= 2
-        if len(self._seen_queries) > self._seen_limit:
-            self._seen_queries = {
-                k: exp for k, exp in self._seen_queries.items() if exp >= now
-            }
-            while len(self._seen_queries) > self._seen_limit:
-                self._seen_limit *= 2
+        if now >= self._rotate_at + self._answered_ttl:
+            self._answered_old, self._seen_old = {}, {}
+        else:
+            self._answered_old, self._seen_old = self._answered, self._seen
+        self._answered, self._seen = {}, {}
+        self._rotate_at = now + self._answered_ttl
 
     # ------------------------------------------------------------------
     # size probes (Section 6.3)

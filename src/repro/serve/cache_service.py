@@ -24,12 +24,19 @@ Each front-end keeps **two** connections:
 * an *RPC* connection (``hello {mode: "rpc", shard}``) carrying strictly
   request/response traffic (``get``/``put``/``open``/``join``/
   ``resolve``/``stats``/…).  The front-end's cache calls are synchronous,
-  so the client blocks one localhost round-trip per call
-  (:class:`repro.serve.protocol.SyncRpcChannel`) — the memcached trade.
+  so a call that reaches the service blocks one localhost round-trip
+  (:class:`repro.serve.protocol.SyncRpcChannel`).  Few do: ``get`` and
+  ``put`` replies carry a *lease* (the entry's cost, its remaining TTL
+  and whether the caller is the key's single writer), and
+  :class:`RemoteSizeTier` answers from its leases while they are live —
+  a warm query makes no RPC at all.
 * a *subscription* connection (``hello {mode: "sub", shard}``) on which
   the service pushes ``resolved {key, cost}`` frames when a probe this
   shard subscribed to is answered by its prober (or released NULL by
-  churn).
+  churn), and the lease-coherence frames: ``drop {key}`` to every other
+  shard when a write changes a cost, ``flush`` to everyone when
+  ownership moves (a new shard joined the ring) or entries vanish
+  (``clear``/``purge``/LRU eviction).
 
 Time: clients' clocks are not comparable, so the service timestamps
 everything (entry TTLs, probe joinability) with **its own** clock.  The
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.adaptive_ttl import AdaptiveTTL
 from repro.core.plan_cache import (
@@ -57,6 +64,7 @@ from repro.serve.protocol import (
     FrameError,
     SyncRpcChannel,
     encode_frame,
+    flush_pushed,
     read_frame,
 )
 from repro.serve.resilience import CircuitBreaker, DeadlineExceeded
@@ -68,6 +76,21 @@ __all__ = ["CacheService", "RemoteSizeTier"]
 #: older than this is presumed stuck and a fresh one is sent instead —
 #: the same bias the simulator's same-burst rule encodes.
 DEFAULT_JOIN_WINDOW = 0.25
+
+#: most leases a client holds before it flushes (the service tier's own
+#: ``maxsize``: more live leases than that cannot exist).
+_L1_MAX = 4096
+
+
+class _Lease(NamedTuple):
+    """A client's copy of one service entry (times on the client's clock)."""
+
+    cost: float
+    expires_at: float
+    #: an owner's unchanged ``put`` is skipped before this (half-life).
+    refresh_at: float
+    #: is the holding shard the key's single writer?
+    owner: bool
 
 
 class _ServiceTier(SharedGroupSizeCache):
@@ -87,6 +110,27 @@ class _ServiceTier(SharedGroupSizeCache):
 
     def _joinable(self, probe: _SharedProbe, seq: int) -> bool:
         return (self._clock() - probe.opened_at) <= self.join_window
+
+    def lease(self, key: str, now: float, shard: int) -> dict[str, Any]:
+        """What ``shard`` may cache of ``key``: the live entry's cost,
+        its *remaining* TTL (a duration: clocks are not comparable, the
+        client re-anchors it on its own) and whether ``shard`` is the
+        key's single writer.  ``lease`` is None when there is no live
+        entry to hold a lease on."""
+        entry = self._entries.get(key)
+        if entry is None or now > entry[1]:
+            return {"cost": None, "lease": None, "owner": False}
+        return {
+            "cost": entry[0],
+            "lease": entry[1] - now,
+            "owner": shard == self.router.owner(key),
+        }
+
+    def version(self, key: str) -> tuple[Optional[float], int]:
+        """``key``'s stored cost and the eviction count: what a write
+        must leave unchanged for every lease out there to stay true."""
+        entry = self._entries.get(key)
+        return (entry[0] if entry else None, self.stats.evictions)
 
 
 class CacheService:
@@ -136,6 +180,9 @@ class CacheService:
         #: close(), so clients of a dead service see a dead socket
         #: instead of a ghost that keeps answering from stale state.
         self._writers: set[asyncio.StreamWriter] = set()
+        #: subscription writers with pushes buffered, awaiting the
+        #: current handler's flush (only these are drained).
+        self._pushed: set[asyncio.StreamWriter] = set()
         self._observer_task: Optional[asyncio.Task] = None
 
     def now(self) -> float:
@@ -192,16 +239,33 @@ class CacheService:
         # Owner assignments follow the live shard set, as the ring
         # daemon's router does on the front-end side.
         self.tier.router = FrontendShardRouter.from_members(self._members)
+        # Ownership moved: every lease's "am I the writer?" bit is stale.
+        self._push_all({"kind": "flush"})
 
     # -- push fan-out --------------------------------------------------
+
+    def _push(self, shard: int, frame: bytes) -> None:
+        for writer in self._subs.get(shard, ()):
+            if not writer.is_closing():
+                self._pushed.add(writer)
+                writer.write(frame)
 
     def _push_resolved(
         self, shard: int, key: str, cost: Optional[float]
     ) -> None:
-        frame = encode_frame({"kind": "resolved", "key": key, "cost": cost})
-        for writer in self._subs.get(shard, ()):
-            if not writer.is_closing():
-                writer.write(frame)
+        self._push(
+            shard, encode_frame({"kind": "resolved", "key": key, "cost": cost})
+        )
+
+    def _push_all(
+        self, obj: dict[str, Any], skip: Optional[int] = None
+    ) -> None:
+        """Push one lease-coherence frame to every subscriber (but
+        ``skip``, the shard whose own write caused it)."""
+        frame = encode_frame(obj)
+        for shard in self._subs:
+            if shard != skip:
+                self._push(shard, frame)
 
     def _release(self, callbacks: list, key: str, cost: Optional[float]) -> None:
         now = self.now()
@@ -225,6 +289,11 @@ class CacheService:
                 return
             shard = int(hello.get("shard", 0))
             self._admit_shard(shard)
+            if hello.get("mode") == "sub":
+                # Registered before the welcome goes out: a client that
+                # has read its welcome is owed every later push.
+                sub_shard = shard
+                self._subs.setdefault(shard, set()).add(writer)
             writer.write(
                 encode_frame(
                     {
@@ -235,9 +304,8 @@ class CacheService:
                 )
             )
             await writer.drain()
-            if hello.get("mode") == "sub":
-                sub_shard = shard
-                self._subs.setdefault(shard, set()).add(writer)
+            await flush_pushed(self._pushed)
+            if sub_shard is not None:
                 # Subscription connections are push-only from here on;
                 # block until the peer goes away.
                 while await read_frame(reader) is not None:
@@ -249,15 +317,13 @@ class CacheService:
                     break
                 writer.write(encode_frame(self._handle_rpc(frame)))
                 await writer.drain()
-                # A resolve may have queued pushes on sub writers.
-                for writers in self._subs.values():
-                    for out in writers:
-                        if not out.is_closing():
-                            await out.drain()
+                # The handler may have queued pushes on sub writers.
+                await flush_pushed(self._pushed)
         except (FrameError, ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             self._writers.discard(writer)
+            self._pushed.discard(writer)
             if sub_shard is not None:
                 self._subs.get(sub_shard, set()).discard(writer)
             writer.close()
@@ -270,13 +336,19 @@ class CacheService:
         now = self.now()
         try:
             if kind == "get":
-                cost = tier.get(frame["key"], now, frame["shard"])
-                return {"kind": "value", "cost": cost}
+                key, shard = frame["key"], frame["shard"]
+                tier.get(key, now, shard)
+                return {"kind": "value", **tier.lease(key, now, shard)}
             if kind == "put":
-                applied = tier.put(
-                    frame["key"], frame["cost"], now, frame["shard"]
-                )
-                return {"kind": "ok", "applied": applied}
+                key, shard = frame["key"], frame["shard"]
+                before = tier.version(key)
+                applied = tier.put(key, frame["cost"], now, shard)
+                self._invalidate(key, before, shard)
+                return {
+                    "kind": "ok",
+                    "applied": applied,
+                    **tier.lease(key, now, shard),
+                }
             if kind == "open":
                 # seq is meaningless across processes; joinability is
                 # wall-clock (opened_at=now) on this service's clock.
@@ -296,25 +368,45 @@ class CacheService:
                 )
                 return {"kind": "ok", "joined": joined}
             if kind == "resolve":
+                key = frame["key"]
+                before = tier.version(key)
                 released = tier.resolve_probe(
-                    frame["key"], frame["tag"], frame["cost"], now
+                    key, frame["tag"], frame["cost"], now
                 )
+                self._invalidate(key, before, frame.get("shard"))
                 if released is not None:
-                    self._release(released, frame["key"], frame["cost"])
+                    self._release(released, key, frame["cost"])
                 return {"kind": "ok", "resolved": released is not None}
             if kind == "churn":
                 tier.on_membership_change(now)
                 return {"kind": "ok"}
             if kind == "purge":
-                return {"kind": "ok", "removed": tier.purge(now)}
+                removed = tier.purge(now)
+                self._push_all({"kind": "flush"})
+                return {"kind": "ok", "removed": removed}
             if kind == "clear":
                 tier.clear()
+                self._push_all({"kind": "flush"})
                 return {"kind": "ok"}
             if kind == "stats":
                 return {"kind": "ok", "stats": self.stats_snapshot()}
         except (KeyError, ValueError, TypeError) as exc:
             return {"kind": "error", "message": f"{kind}: {exc}"}
         return {"kind": "error", "message": f"unknown rpc kind {kind!r}"}
+
+    def _invalidate(
+        self, key: str, before: tuple[Optional[float], int], writer: Any
+    ) -> None:
+        """Push what a write just made stale.  A changed cost drops that
+        key's lease at every shard but the writer's (its reply carries
+        the fresh one); a cold fill changes nothing anyone can hold a
+        lease on.  An LRU eviction removed some *other* key's entry from
+        under its leases: flush, it is rare."""
+        cost, evictions = self.tier.version(key)
+        if evictions != before[1]:
+            self._push_all({"kind": "flush"})
+        elif before[0] is not None and cost != before[0]:
+            self._push_all({"kind": "drop", "key": key}, skip=writer)
 
     def stats_snapshot(self) -> dict[str, Any]:
         tier = self.tier
@@ -347,6 +439,38 @@ class RemoteSizeTier:
     :class:`~repro.serve.protocol.SyncRpcChannel`; probe resolutions for
     joined probes arrive as pushes on the subscription connection, which
     :meth:`start` wires into the owning event loop.
+
+    **The L1.**  Every ``get``/``put`` reply grants a *lease* on the
+    key: the service entry's cost, its remaining TTL (a duration,
+    re-anchored here on the ``now`` the caller passed *into* the call,
+    i.e. before the round trip — so a lease never outlives the entry it
+    copies) and whether this shard is the key's single writer.  While a
+    lease is live, ``get`` answers from it; a ``put`` from a non-owner
+    is dropped here (the decision the service's single-writer rule would
+    have made, counted in :attr:`local_writer_drops`); a ``put`` from
+    the owner with an *unchanged* cost is skipped until less than half
+    the lease remains (refresh-ahead: the service entry can only expire
+    earlier than an RPC per answer would have kept it, never later),
+    while a *changed* cost always goes to the service, so the
+    adaptive-TTL churn observation sees exactly what it saw before.
+
+    Coherence rides the subscription connection (``drop {key}`` /
+    ``flush``, see the module docstring), and leases are granted only
+    while that stream is up: when it dies the L1 is flushed and the RPC
+    side is severed with it, so the next call replays the handshake and
+    re-subscribes.  Ordering, for a cost that shard A changes while
+    shard B fills a lease: the service handles RPCs one at a time and
+    writes A's ``drop`` to B's stream *before* it answers A.  B's fill
+    is a synchronous RPC made on B's loop thread, which also reads B's
+    stream — so B processes the ``drop`` only after the call that
+    filled the lease has returned.  If the service saw B's RPC first, B
+    holds the old cost and the ``drop`` that follows removes it: a
+    reader can see a superseded cost for one push latency, no longer.
+    If it saw A's write first, B's reply already carries the new cost
+    and the ``drop`` arrives *after* that fresher fill: it removes a
+    good lease, which costs one extra miss and nothing else.  A
+    ``drop`` is never processed before a stale fill it should have
+    removed.
 
     Degradation: if the service link drops, ``get`` misses, ``put`` and
     ``open_probe`` are no-ops, and ``join_probe`` returns False — the
@@ -384,6 +508,15 @@ class RemoteSizeTier:
         self.reconnects = 0
         #: key -> callbacks waiting on a joined probe's push.
         self._callbacks: dict[str, list[Callable]] = {}
+        #: the L1, on the clock of the ``now`` arguments (the transport's).
+        self._leases: dict[str, _Lease] = {}
+        #: leases are granted only while the push stream that keeps
+        #: them coherent is up.
+        self._pushes_live = False
+        self.l1_hits = 0
+        self.local_writer_drops = 0
+        self.refreshes_skipped = 0
+        self.l1_flushes = 0
         self._sub_task: Optional[asyncio.Task] = None
         self._sub_writer: Optional[asyncio.StreamWriter] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -425,6 +558,7 @@ class RemoteSizeTier:
         if self._sub_writer is not None:
             self._sub_writer.close()
         self._sub_writer = writer
+        self._pushes_live = True
         self._sub_task = asyncio.ensure_future(self._read_pushes(reader))
 
     def _revive(self) -> None:
@@ -479,15 +613,28 @@ class RemoteSizeTier:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                if frame.get("kind") == "resolved":
+                kind = frame.get("kind")
+                if kind == "resolved":
                     self._on_resolved(frame["key"], frame["cost"])
+                elif kind == "drop":
+                    self._leases.pop(frame["key"], None)
+                elif kind == "flush":
+                    self._flush_leases()
         except (ConnectionError, FrameError, asyncio.CancelledError):
             pass
         finally:
-            # The push stream is gone: every joined probe this shard is
-            # waiting on would otherwise wait forever.  Release them
-            # NULL — the front-end re-probes for itself (Section 7's
-            # fail-not-hang contract, applied to the cache tier).
+            # The push stream is gone, and with it the only thing that
+            # kept the leases true.  Sever the RPC side too: the next
+            # call then replays the handshake and re-subscribes, instead
+            # of running without pushes until the RPC link happens to
+            # fail on its own.
+            self._pushes_live = False
+            self._flush_leases()
+            self.rpc.close()
+            # Every joined probe this shard is waiting on would
+            # otherwise wait forever.  Release them NULL — the front-end
+            # re-probes for itself (Section 7's fail-not-hang contract,
+            # applied to the cache tier).
             pending, self._callbacks = self._callbacks, {}
             now = self._now()
             for key, callbacks in pending.items():
@@ -537,8 +684,46 @@ class RemoteSizeTier:
         return {
             "state": state,
             "reconnects": self.reconnects,
+            "l1_flushes": self.l1_flushes,
             "breaker": self.breaker.snapshot(),
         }
+
+    def l1_stats(self) -> dict[str, int]:
+        """The L1's counters for ``/stats`` ``size_cache``."""
+        return {
+            "l1_hits": self.l1_hits,
+            "local_writer_drops": self.local_writer_drops,
+            "refreshes_skipped": self.refreshes_skipped,
+            "l1_entries": len(self._leases),
+        }
+
+    # -- the L1 --------------------------------------------------------
+
+    def _flush_leases(self) -> None:
+        self._leases.clear()
+        self.l1_flushes += 1
+
+    def _live(self, key: str, now: float) -> Optional[_Lease]:
+        lease = self._leases.get(key)
+        return lease if lease is not None and now <= lease.expires_at else None
+
+    def _hold(
+        self, key: str, reply: Optional[dict[str, Any]], now: float
+    ) -> Optional[float]:
+        """Take the lease a ``get``/``put`` reply grants on ``key`` (or
+        give up the one we held, when it grants none); returns the
+        entry's cost.  ``now`` is the caller's clock from *before* the
+        round trip."""
+        ttl = reply.get("lease") if reply else None
+        if ttl is None or not self._pushes_live:
+            self._leases.pop(key, None)
+        else:
+            if len(self._leases) >= _L1_MAX:
+                self._flush_leases()  # always safe: it only costs misses
+            self._leases[key] = _Lease(
+                reply["cost"], now + ttl, now + ttl / 2, reply["owner"]
+            )
+        return reply.get("cost") if reply else None
 
     # -- SharedGroupSizeCache surface ----------------------------------
 
@@ -559,8 +744,16 @@ class RemoteSizeTier:
         return reply["stats"]["entries"] if reply else 0
 
     def get(self, key: str, now: float, shard: int = 0) -> Optional[float]:
-        reply = self._request({"kind": "get", "key": key, "shard": shard})
-        cost = reply["cost"] if reply else None
+        lease = self._live(key, now)
+        if lease is not None:
+            self.l1_hits += 1
+            cost: Optional[float] = lease.cost
+        else:
+            cost = self._hold(
+                key,
+                self._request({"kind": "get", "key": key, "shard": shard}),
+                now,
+            )
         if cost is None:
             self._stats.misses += 1
         else:
@@ -568,9 +761,22 @@ class RemoteSizeTier:
         return cost
 
     def put(self, key: str, cost: float, now: float, shard: int = 0) -> bool:
+        lease = self._live(key, now)
+        if lease is not None:
+            if not lease.owner:
+                # A live entry and we are not its writer: the service
+                # would drop this write, so it never leaves.
+                self.local_writer_drops += 1
+                return False
+            if cost == lease.cost and now < lease.refresh_at:
+                # Nothing to tell the service but "still true", and the
+                # entry has more than half its life left.
+                self.refreshes_skipped += 1
+                return True
         reply = self._request(
             {"kind": "put", "key": key, "cost": cost, "shard": shard}
         )
+        self._hold(key, reply, now)
         return bool(reply and reply.get("applied"))
 
     def open_probe(
@@ -592,8 +798,17 @@ class RemoteSizeTier:
     def resolve_probe(
         self, key: str, tag: str, cost: Optional[float], now: float
     ) -> Optional[list]:
+        # Whatever the answer, what we held for the key is superseded
+        # (the service tells the *other* shards).
+        self._leases.pop(key, None)
         reply = self._request(
-            {"kind": "resolve", "key": key, "tag": tag, "cost": cost}
+            {
+                "kind": "resolve",
+                "key": key,
+                "tag": tag,
+                "cost": cost,
+                "shard": self.shard,
+            }
         )
         if reply and reply.get("resolved"):
             # Remote waiters are served by service pushes; locally there
@@ -613,6 +828,7 @@ class RemoteSizeTier:
 
     def clear(self) -> None:
         self._request({"kind": "clear"})
+        self._flush_leases()
 
     def service_stats(self) -> Optional[dict[str, Any]]:
         reply = self._request({"kind": "stats"})

@@ -22,8 +22,10 @@ sharing the simulator exercises — behind two wires:
 
 Everything — HTTP handling, overlay frames, cache pushes, ring epochs —
 runs on one event loop.  The only blocking calls are the shared-cache
-RPCs (sub-millisecond localhost round-trips by design; the memcached
-trade, see :mod:`repro.serve.protocol`).
+RPCs (sub-millisecond localhost round-trips), and a warm query makes
+none: :class:`~repro.serve.cache_service.RemoteSizeTier` answers from
+leases it holds on the service's entries and only goes to the service
+on a miss, a changed cost, or a refresh.
 
 Query completion is callback→future: ``Frontend.submit`` takes a
 callback, the server resolves an ``asyncio.Future`` from it, and the
@@ -613,6 +615,7 @@ class FrontendServer:
                 "misses": fe.plan_cache.stats.misses,
             }
         if self.tier is not None:
+            payload["size_cache"].update(self.tier.l1_stats())
             payload["cache_service"] = self.tier.service_stats()
         return payload
 

@@ -37,7 +37,12 @@ import time
 from typing import Any, Optional
 
 from repro.core.cluster import MoaraCluster
-from repro.serve.protocol import FrameError, encode_frame, read_frame
+from repro.serve.protocol import (
+    FrameError,
+    encode_frame,
+    flush_pushed,
+    read_frame,
+)
 from repro.sim.network import Message
 
 __all__ = ["OverlayService"]
@@ -46,16 +51,24 @@ __all__ = ["OverlayService"]
 class _RemoteFrontendProxy:
     """A remote front-end's seat on the simulated network."""
 
-    __slots__ = ("node_id", "writer")
+    __slots__ = ("node_id", "writer", "written")
 
-    def __init__(self, node_id: int, writer: asyncio.StreamWriter) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        writer: asyncio.StreamWriter,
+        written: set[asyncio.StreamWriter],
+    ) -> None:
         self.node_id = node_id
         self.writer = writer
+        #: the service's set of writers with frames to flush.
+        self.written = written
 
     def handle_message(self, message: Message) -> None:
         # Called synchronously while the engine drains; frames buffer on
         # the stream writer and are flushed by the connection handler.
         if not self.writer.is_closing():
+            self.written.add(self.writer)
             self.writer.write(
                 encode_frame(
                     {
@@ -94,6 +107,9 @@ class OverlayService:
         #: request/reply so a SyncRpcChannel can drive them).
         self._push_writers: set[asyncio.StreamWriter] = set()
         self._proxies: dict[int, _RemoteFrontendProxy] = {}
+        #: writers an engine drain buffered frames on, awaiting the
+        #: connection handler's flush (only these are drained).
+        self._written: set[asyncio.StreamWriter] = set()
         cluster.overlay.add_listener(self._on_membership)
 
     # -- lifecycle -----------------------------------------------------
@@ -143,6 +159,7 @@ class OverlayService:
         )
         for writer in self._push_writers:
             if not writer.is_closing():
+                self._written.add(writer)
                 writer.write(frame)
 
     # -- connections ---------------------------------------------------
@@ -176,7 +193,7 @@ class OverlayService:
                     )
                     await writer.drain()
                     return
-                proxy = _RemoteFrontendProxy(node_id, writer)
+                proxy = _RemoteFrontendProxy(node_id, writer, self._written)
                 self.cluster.network.attach(proxy)
                 self._proxies[node_id] = proxy
             space = self.cluster.overlay.space
@@ -221,10 +238,9 @@ class OverlayService:
                         frame["payload"],
                     )
                     self._drain_engine()
-                    # Flush whatever the drain buffered, on every link.
-                    for out in list(self._writers):
-                        if not out.is_closing():
-                            await out.drain()
+                    # Flush what the drain buffered, on the links it
+                    # buffered it on.
+                    await flush_pushed(self._written)
                 elif kind == "admin":
                     reply = self._handle_admin(frame)
                     writer.write(encode_frame(reply))
@@ -244,6 +260,7 @@ class OverlayService:
         finally:
             self._writers.discard(writer)
             self._push_writers.discard(writer)
+            self._written.discard(writer)
             if proxy is not None:
                 # The front-end is gone: detach its seat so undeliverable
                 # replies drop, exactly like a departed simulated client.

@@ -24,8 +24,10 @@ Two client shapes are provided:
 * :class:`SyncRpcChannel`, a blocking-socket request/response channel
   used by the front-end's cache-service client: the shared-cache calls
   (``get``/``put``/``join_probe``/…) are *synchronous* in the shared
-  front-end code, so the client pays one localhost round-trip inline —
-  the memcached trade, made explicit.
+  front-end code, so a call that has to reach the service pays one
+  localhost round-trip inline (the client's lease-holding L1 keeps
+  those off the warm query path, see
+  :class:`repro.serve.cache_service.RemoteSizeTier`).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "SyncRpcChannel",
     "encode_frame",
+    "flush_pushed",
     "read_frame",
     "write_frame",
 ]
@@ -91,6 +94,21 @@ async def write_frame(
     """Write one frame and drain (backpressure-aware push path)."""
     writer.write(encode_frame(obj))
     await writer.drain()
+
+
+async def flush_pushed(pushed: set[asyncio.StreamWriter]) -> None:
+    """Drain (and forget) the links a handler buffered push frames on
+    while serving some *other* connection — those and no others.  One
+    of them dying is its own handler's business and must not sever the
+    caller's link."""
+    writers = list(pushed)
+    pushed.clear()
+    for writer in writers:
+        if not writer.is_closing():
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass
 
 
 class SyncRpcChannel:

@@ -150,7 +150,13 @@ class RemoteNetwork:
         #: remaining end-to-end budget and register their wire tag so
         #: response-triggered sends inherit the same budget.
         self._active_deadline: Optional[Deadline] = None
+        #: wire tag -> budget of the query that sent it; an entry lives
+        #: while the front-end has the tag in flight (released when it
+        #: drains the tag), so the table is O(in-flight), not O(served).
         self._tag_deadlines: dict[str, Deadline] = {}
+        #: table size that triggers the expiry sweep (a backstop for
+        #: tags whose answer never came); doubles with the survivors.
+        self._deadline_sweep_at = 512
         #: observers of membership deltas (the server wires health/stats
         #: surfaces in here; the attached front-end is always notified).
         self.on_members: list[Callable[[set[int], set[int]], None]] = []
@@ -229,28 +235,42 @@ class RemoteNetwork:
             self._active_deadline = previous
 
     def _register_deadline(self, tag: str, deadline: Deadline) -> None:
-        if len(self._tag_deadlines) > 512:
-            self._tag_deadlines = {
-                t: d
-                for t, d in self._tag_deadlines.items()
-                if not d.expired
+        table = self._tag_deadlines
+        table[tag] = deadline
+        if len(table) > self._deadline_sweep_at:
+            # Only tags nobody drained (a lost answer) are left to expire
+            # here.  The threshold doubles with what survives, so the
+            # sweep is amortised O(1) per registration however many
+            # queries are in flight.
+            self._tag_deadlines = table = {
+                t: d for t, d in table.items() if not d.expired
             }
-        self._tag_deadlines[tag] = deadline
+            self._deadline_sweep_at = max(512, 2 * len(table))
 
     def _fail_tags(self, tags: Optional[set[str]], reason: str) -> None:
         """Resolve in-flight front-end work for ``tags`` as NULL (all of
         it when None).  Deferred to the next loop tick when a loop is
         running, so a failure surfacing mid-``submit`` never re-enters
         the front-end's state machine."""
-        frontend = self._frontend
-        if frontend is None:
+        if self._frontend is None:
             return
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            frontend.on_link_failure(tags, reason)
+            self._resolve_null(tags, reason)
             return
-        loop.call_soon(frontend.on_link_failure, tags, reason)
+        loop.call_soon(self._resolve_null, tags, reason)
+
+    def _resolve_null(self, tags: Optional[set[str]], reason: str) -> None:
+        self._frontend.on_link_failure(tags, reason)
+        # The front-end has drained these tags; their budgets go with
+        # them (kept until now so the rest of the burst that failed the
+        # tag is still refused by the same expired budget).
+        if tags is None:
+            self._tag_deadlines.clear()
+        else:
+            for tag in tags:
+                self._tag_deadlines.pop(tag, None)
 
     @property
     def now(self) -> float:
@@ -355,6 +375,11 @@ class RemoteNetwork:
                         # the originating query's end-to-end budget.
                         with self.deadline_scope(scope):
                             self._frontend.handle_message(message)
+                        if scope is not None and not self.stats.tagged(tag):
+                            # That was the tag's last answer (the
+                            # front-end drained its message count):
+                            # nothing can inherit this budget any more.
+                            self._tag_deadlines.pop(tag, None)
                 elif kind == "members":
                     self._burst += 1
                     joined = set(frame["joined"])

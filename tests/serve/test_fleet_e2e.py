@@ -147,6 +147,14 @@ def test_healthz_and_stats_surface(fleet) -> None:
     assert stats["queries_served"] >= 1
     assert stats["messages"]["total"] >= 1
     assert "plan_cache" in stats
+    # The shared tier's L1 (docs/API.md): repeats above were answered
+    # from leases; shard 1 joining the ring flushed shard 0's once.
+    size_cache = stats["size_cache"]
+    assert size_cache["shared_tier"] is True
+    assert 0 < size_cache["l1_hits"] <= size_cache["hits"]
+    assert size_cache["l1_entries"] >= 1
+    assert {"local_writer_drops", "refreshes_skipped"} <= set(size_cache)
+    assert stats["links"]["cache"]["l1_flushes"] >= 1
 
 
 def test_overlay_churn_reaches_remote_frontends(fleet) -> None:
