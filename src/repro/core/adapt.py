@@ -30,7 +30,6 @@ curve, equivalently the SDIMS single-tree approach).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,9 +57,10 @@ class AdaptationConfig:
             raise ValueError("window lengths must be >= 1")
 
 
-_QUERY_SAT = "qs"
-_QUERY_NOSAT = "qn"
-_CHANGE = "c"
+# Event codes of the packed window: two bits each, 0 = empty slot.
+_QUERY_SAT = 1
+_QUERY_NOSAT = 2
+_CHANGE = 3
 
 
 @dataclass(slots=True)
@@ -72,22 +72,28 @@ class Adaptor:
 
     config: AdaptationConfig = field(default_factory=AdaptationConfig)
     update: bool = field(init=False)
-    _events: "deque[str]" = field(init=False, repr=False, compare=False)
-    #: hot-path copies of the (immutable) config knobs, resolved once:
-    #: :meth:`record_query` runs per query per receiving node.
+    #: the recent-event window, packed into one int: two bits per event,
+    #: newest in the low bits, cut to the longer of the two window
+    #: lengths.  With the default (1, 3) windows it stays below 64 -- an
+    #: interpreter-cached small int, so the window costs no memory beyond
+    #: its slot (there is one Adaptor per tree state per node).
+    _events: int = field(init=False, repr=False, compare=False)
+    #: hot-path copies of the (immutable) config knobs, resolved once
+    #: (:meth:`record_query` runs per query per receiving node): the
+    #: policy test, and each state's window length ``k`` as the bit mask
+    #: ``4**k - 1`` that cuts ``_events`` to its newest ``k`` events.
     _adaptive: bool = field(init=False, repr=False, compare=False)
-    _k_update: int = field(init=False, repr=False, compare=False)
-    _k_no_update: int = field(init=False, repr=False, compare=False)
+    _mask_update: int = field(init=False, repr=False, compare=False)
+    _mask_no_update: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Paper Procedure 2: "Initial Value: update <- 0 // in the
         # beginning, a node receives every query".
         self.update = self.config.policy is MaintenancePolicy.ALWAYS_UPDATE
-        maxlen = max(self.config.k_update, self.config.k_no_update)
-        self._events: deque[str] = deque(maxlen=maxlen)
+        self._events = 0
         self._adaptive = self.config.policy is MaintenancePolicy.ADAPTIVE
-        self._k_update = self.config.k_update
-        self._k_no_update = self.config.k_no_update
+        self._mask_update = 4**self.config.k_update - 1
+        self._mask_no_update = 4**self.config.k_no_update - 1
 
     # ------------------------------------------------------------------
     # event recording (each returns True when the update flag flipped)
@@ -98,51 +104,38 @@ class Adaptor:
         inferred from a sequence-number gap (those arrived while this node
         was pruned out, hence counted as non-contributing).
 
-        This runs once per query per receiving node, so Procedure 2's
-        re-evaluation is inlined (kept decision-identical with
-        :meth:`_reevaluate`, which the colder paths still call), with a
-        short-cut for the common ``k == 1`` window: only the event just
-        appended matters.
+        This runs once per query per receiving node, hence the short-cut
+        for the common ``k == 1`` window, where only the event just
+        pushed matters.
         """
+        # The longer window's mask (both are all-ones, so OR is max).
+        keep = self._mask_update | self._mask_no_update
         events = self._events
         if missed:
-            cap = events.maxlen or 0
-            for _ in range(min(missed, cap)):
-                events.append(_QUERY_NOSAT)
-        events.append(_QUERY_SAT if contributing else _QUERY_NOSAT)
+            for _ in range(min(missed, keep.bit_length() >> 1)):
+                events = (events << 2) | _QUERY_NOSAT
+        self._events = (
+            (events << 2) | (_QUERY_SAT if contributing else _QUERY_NOSAT)
+        ) & keep
         if not self._adaptive:
             return False  # pinned
         update = self.update
-        k = self._k_update if update else self._k_no_update
-        if k == 1:
-            # The window is exactly the event appended above (a query
-            # event, never a change): qn = not contributing, c = 0.
-            if contributing:
-                return False  # 2*0 < 0 and 2*0 > 0 both false: no flip
-            new_update = True  # 2*1 > 0
-        else:
-            qn = c = 0
-            for event in reversed(events):
-                if k <= 0:
-                    break
-                k -= 1
-                if event == _QUERY_NOSAT:
-                    qn += 1
-                elif event == _CHANGE:
-                    c += 1
-            new_update = update
-            if 2 * qn < c:
-                new_update = False
-            elif 2 * qn > c:
-                new_update = True
-        if new_update == update:
+        if (self._mask_update if update else self._mask_no_update) != 3:
+            return self._reevaluate()
+        # k == 1: the window is exactly the event pushed above (a query
+        # event, never a change), so qn = not contributing and c = 0:
+        # Procedure 2 can only say UPDATE, and only for a
+        # non-contributing query.
+        if contributing or update:
             return False
-        self.update = new_update
+        self.update = True
         return True
 
     def record_change(self) -> bool:
         """Account for one satisfiability / updateSet change."""
-        self._events.append(_CHANGE)
+        self._events = ((self._events << 2) | _CHANGE) & (
+            self._mask_update | self._mask_no_update
+        )
         return self._reevaluate()
 
     # ------------------------------------------------------------------
@@ -150,54 +143,29 @@ class Adaptor:
     # ------------------------------------------------------------------
 
     def counts(self) -> tuple[int, int, int]:
-        """(qn, qs, c) over the window for the current state.
-
-        Runs once per query per node: counts the last ``k`` events in one
-        reverse walk instead of copying the window out of the deque.
-        """
-        k = (
-            self.config.k_update
-            if self.update
-            else self.config.k_no_update
-        )
-        qn = qs = c = 0
-        for event in reversed(self._events):
-            if k <= 0:
-                break
-            k -= 1
-            if event == _QUERY_NOSAT:
-                qn += 1
-            elif event == _QUERY_SAT:
-                qs += 1
-            else:
-                c += 1
-        return qn, qs, c
+        """(qn, qs, c) over the window for the current state."""
+        mask = self._mask_update if self.update else self._mask_no_update
+        window = self._events & mask
+        # Split each two-bit code into its low and high bit (``mask // 3``
+        # is 0b...0101): qs sets only the low one, qn only the high one,
+        # a change both; empty slots neither.
+        low_bits = mask // 3
+        low = window & low_bits
+        high = (window >> 1) & low_bits
+        c = (low & high).bit_count()
+        return high.bit_count() - c, low.bit_count() - c, c
 
     # ------------------------------------------------------------------
     # Procedure 2
     # ------------------------------------------------------------------
 
     def _reevaluate(self) -> bool:
-        config = self.config
-        if config.policy is not MaintenancePolicy.ADAPTIVE:
+        if not self._adaptive:
             return False  # pinned
-        # Inline tail count over the window (one reverse walk, no copy):
-        # this runs once per query per receiving node.
-        k = config.k_update if self.update else config.k_no_update
-        qn = c = 0
-        for event in reversed(self._events):
-            if k <= 0:
-                break
-            k -= 1
-            if event == _QUERY_NOSAT:
-                qn += 1
-            elif event == _CHANGE:
-                c += 1
-        new_update = self.update
-        if 2 * qn < c:
-            new_update = False
-        elif 2 * qn > c:
-            new_update = True
+        qn, _, c = self.counts()
+        if 2 * qn == c:
+            return False
+        new_update = 2 * qn > c
         if new_update == self.update:
             return False
         self.update = new_update

@@ -21,13 +21,25 @@ Payload schemas
     merged partial aggregate (``None`` = no data), ``contributors`` the
     number of nodes whose local value flowed in, ``subtree_recv`` the
     sender's lazily aggregated receive-count (piggybacked ``np``
-    maintenance, Section 6.3), ``last_seen_seq``.
+    maintenance, Section 6.3), ``last_seen_seq``.  Optionally
+    ``update_set`` + ``predicate``: the status report the sender raised
+    while handling this query (or a child's reply to it), present only
+    when the reply goes to the sender's DHT parent.  The receiver
+    applies it first, exactly as the ``STATUS_UPDATE`` below (with the
+    reply's own ``subtree_recv``), then processes the reply -- also when
+    the aggregation the reply answers is already resolved.
 
 ``STATUS_UPDATE`` (child -> DHT parent, Sections 4-5):
     ``predicate``, ``update_set`` (the child's updateSet; empty set =
     PRUNE), ``subtree_recv``, ``last_seen_seq``.  Receipt also
     invalidates the parent's cached root results for that tree (group
     membership under it changed; see :mod:`repro.core.result_cache`).
+    Sent on its own only for reports raised outside a query (attribute
+    change, reconfiguration) or whose reply goes elsewhere or later:
+    to the front-end, to a non-parent ancestor (separate query plane),
+    or after a fan-out that is still pending.  The others ride the
+    ``QUERY_RESPONSE``, which is why forming a group tree costs two
+    messages per node and not three.
 
 ``STATE_SYNC`` (node -> new DHT parent after reconfiguration,
     Section 7): same schema as ``STATUS_UPDATE``.
@@ -85,9 +97,13 @@ never drained by ``pop_tag`` would otherwise grow without bound).
     ``sub_id``, ``pred_key``, ``partial`` the child's whole recomputed
     subtree partial (state-based replacement, not an invertible
     increment -- correct for MIN/MAX/TOP-K), ``contributors``, plus the
-    full install schema (``query``/``cover``/``lease``/``frontend``) so
-    a parent that never saw the install (post-churn re-rooting) can
-    install itself lazily and keep propagating.
+    full install schema (``query``/``cover``/``lease``/``frontend``),
+    and ``rerooted: True`` when the push is not a routine change -- the
+    sender's parent changed, or it was itself just installed from such a
+    delta.  A parent that does not hold the subscription installs from
+    a re-rooting delta (post-churn re-rooting: it never saw the install)
+    and keeps propagating; a routine one it drops (sent before a cancel
+    reached the sender).
 
 ``STANDING_UPDATE`` (tree root -> front-end):
     ``sub_id``, ``pred_key``, ``partial``, ``contributors``, ``seq`` the
@@ -95,7 +111,10 @@ never drained by ``pop_tag`` would otherwise grow without bound).
     front-end drops reordered/duplicate updates), ``cost`` the same
     ``2 * np`` estimate a ``SIZE_RESPONSE`` carries (feeds the size
     cache for standing replans), and optionally ``expired: True`` when
-    the root dropped the subscription because its lease ran out.
+    the root dropped the subscription because its lease ran out, or
+    ``rerooted: True`` when the root just became one or was installed
+    from a re-rooting delta (a front-end that tore the subscription
+    down cancels it again instead of dropping the update as late).
 
 ``SUB_CANCEL`` (front-end -> root, fanned down like the install):
     ``sub_id``, ``predicate`` -- removes the subscription state at every

@@ -21,7 +21,7 @@ an agent running at each node that monitors the node and populates
 Reply-path metadata piggybacking
 --------------------------------
 
-Two kinds of metadata ride on replies instead of costing extra messages:
+These ride on replies instead of costing extra messages:
 
 * every **root** reply (``FRONTEND_RESPONSE``) carries the ``2 * np``
   query-cost estimate (``cost``) that a ``SIZE_PROBE`` would have
@@ -32,7 +32,21 @@ Two kinds of metadata ride on replies instead of costing extra messages:
   query (see :class:`~repro.sim.stats.QueryRecord`);
 * every **internal** reply (``QUERY_RESPONSE``) carries the child's
   ``subtree_recv`` estimate, lazily refreshing the parent's ``np``
-  bookkeeping (Section 6.3).
+  bookkeeping (Section 6.3);
+* an internal reply to the sender's DHT parent also carries the status
+  report (``update_set`` + ``predicate``) the sender raised while
+  handling that ``QUERY`` / ``QUERY_RESPONSE``.  Such a report is
+  *held* (``_held``) instead of leaving as its own ``STATUS_UPDATE``:
+  :meth:`MoaraNode._send_reply` attaches it when the reply goes up the
+  same tree link, and the parent applies it before the reply
+  (:meth:`MoaraNode._apply_report`, shared with the ``STATUS_UPDATE``
+  handler) -- same link, same order, same information, one message
+  fewer, so forming a group tree costs two messages per node (the
+  first query's PRUNE wave rides the replies).  A held report that
+  finds no such reply -- the aggregation is still pending, the reply
+  goes to the front-end or to a non-parent ancestor (separate query
+  plane), a second report displaces it -- leaves as a standalone
+  ``STATUS_UPDATE`` at the point it would have been sent anyway.
 
 See :mod:`repro.core.messages` for the full payload schema of every
 message type.
@@ -42,7 +56,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Optional, Sequence
 
 from repro.core import messages as mt
 from repro.core.adapt import AdaptationConfig, Adaptor
@@ -199,6 +213,9 @@ class MoaraNode:
         self.overlay = overlay
         self.network = network
         self.config = config or MoaraConfig()
+        #: ``{node_id}``, one instance shared by all of this node's tree
+        #: states (their default updateSet).
+        self._self_set = frozenset((node_id,))
         self.attributes = AttributeStore()
         self.attributes.add_listener(self._on_attribute_change)
         #: read-only dict view for hot-path predicate evaluation.
@@ -267,6 +284,12 @@ class MoaraNode:
         )
         #: in-flight executions rooted here, joinable by identical requests.
         self.inflight = InflightTable()
+        #: True while a QUERY / QUERY_RESPONSE handler is in the stretch
+        #: that can raise status reports: :meth:`_send_status` then parks
+        #: the reporting state in ``_held`` for the reply to carry (see
+        #: "Reply-path metadata piggybacking" above).
+        self._holding = False
+        self._held: Optional[PredicateTreeState] = None
         # Deferred import: repro.standing.agent imports this module for
         # group_attribute, so binding it at module scope would cycle.
         from repro.standing.agent import StandingAgent
@@ -303,6 +326,7 @@ class MoaraNode:
                 threshold=self.config.threshold,
                 pred_key=key,
             )
+            state.self_set = self._self_set
             state.local_sat = predicate.evaluate(self._attr_data)
             state.computed_update_set = state.compute_update_set(
                 self._dht_children(state)
@@ -330,7 +354,7 @@ class MoaraNode:
         del self.states[pred_key]
         return True
 
-    def _dht_children(self, state: PredicateTreeState) -> list[int]:
+    def _dht_children(self, state: PredicateTreeState) -> Sequence[int]:
         """Our children in the state's tree, cached per membership version.
 
         Hot path: consulted on every query/response/status for the
@@ -347,7 +371,7 @@ class MoaraNode:
         if self.node_id in overlay:
             children = overlay.children(self.node_id, state.tree_key)
         else:
-            children = []
+            children = ()
         state.cached_children = children
         state.cached_children_version = version
         return children
@@ -370,7 +394,7 @@ class MoaraNode:
     def _is_root(self, state: PredicateTreeState) -> bool:
         return self._dht_parent(state) is None
 
-    def _forward_targets(self, state: PredicateTreeState) -> set[int]:
+    def _forward_targets(self, state: PredicateTreeState) -> AbstractSet[int]:
         """``state.forward_targets`` memoized per (reports, membership)
         version pair -- it is recomputed from the child-report map on
         every query receipt otherwise.  Callers must not mutate the
@@ -414,7 +438,17 @@ class MoaraNode:
         handler = _DISPATCH.get(message.mtype)
         if handler is None:
             raise ValueError(f"unexpected message type {message.mtype!r}")
-        handler(self, message)
+        try:
+            handler(self, message)
+        except BaseException:
+            # The handler will not reach its reply: release the hold so
+            # the next message starts clean, and let a report it already
+            # raised leave on its own (``sent_update_set`` records it as
+            # sent; the parent must hear it).
+            self._holding = False
+            if self._held is not None:
+                self._flush_held()
+            raise
 
     # ------------------------------------------------------------------
     # attribute changes (group churn)
@@ -457,7 +491,7 @@ class MoaraNode:
         if not state.adaptor.update and not state.would_receive_queries():
             # Entering NO-UPDATE requires prune = 0: tell the parent to keep
             # sending us queries (own ID with NO-PRUNE, Section 5).
-            self._send_status(state, frozenset([self.node_id]))
+            self._send_status(state, self._self_set)
 
     def _maybe_send_status(self, state: PredicateTreeState) -> None:
         """Push the computed updateSet to the parent when in UPDATE state
@@ -475,23 +509,55 @@ class MoaraNode:
         parent = self._dht_parent(state)
         if parent is None:
             return  # the root has nobody to update
+        if self._held is not None:
+            # A reply carries one report: the earlier one leaves first.
+            self._flush_held()
         state.known_parent = parent
         state.sent_update_set = update_set
+        if self._holding:
+            self._held = state  # for _send_reply to attach, or a flush
+        else:
+            self._post_status(state)
+
+    def _post_status(self, state: PredicateTreeState) -> None:
+        """Send the state's last report (``sent_update_set``) to its
+        parent as a standalone ``STATUS_UPDATE``."""
         self.network.send(
             self.node_id,
-            parent,
+            state.known_parent,
             mt.STATUS_UPDATE,
             {
                 "predicate": state.predicate,
-                "update_set": update_set,
+                "update_set": state.sent_update_set,
                 "subtree_recv": self._subtree_recv(state, False),
                 "last_seen_seq": state.last_seen_seq,
             },
         )
 
+    def _flush_held(self) -> None:
+        """The held report found no reply to ride: send it on its own."""
+        state = self._held
+        self._held = None
+        self._post_status(state)
+
     def _handle_status(self, message: Message) -> None:
         payload = message.payload
-        state = self.get_state(payload["predicate"])
+        self._apply_report(
+            self.get_state(payload["predicate"]),
+            message.src,
+            payload["update_set"],
+            payload.get("subtree_recv"),
+        )
+
+    def _apply_report(
+        self,
+        state: PredicateTreeState,
+        child: int,
+        update_set: frozenset[int],
+        subtree_recv: Optional[int],
+    ) -> None:
+        """A child's status report, standalone (``STATUS_UPDATE`` /
+        ``STATE_SYNC``) or riding its ``QUERY_RESPONSE``."""
         # A child report means group membership (or routing) under us
         # changed for this tree: cached results for it may be stale.
         if self.result_cache.enabled:
@@ -504,11 +570,7 @@ class MoaraNode:
                 # as churn.  Future entries for this tree get shorter
                 # TTLs while the invalidation rate stays high.
                 self._ttl_policy.observe(state.pred_key, self._engine._now)
-        state.record_child_report(
-            message.src,
-            frozenset(payload["update_set"]),
-            payload.get("subtree_recv"),
-        )
+        state.record_child_report(child, frozenset(update_set), subtree_recv)
         self._recompute(state)
 
     # ------------------------------------------------------------------
@@ -570,7 +632,9 @@ class MoaraNode:
         per-message memo probes inlined: state lookup, forward-target and
         sorted-fan-out memos.  Any behavioral change here MUST be mirrored
         in :meth:`_process_query` (the root/front-end path) -- the two are
-        decision-identical by construction.
+        decision-identical by construction.  They differ only in how a
+        status report raised here travels: it is held for the
+        ``QUERY_RESPONSE`` (a ``FRONTEND_RESPONSE`` never carries one).
         """
         payload = message.payload
         predicate = payload["predicate"]
@@ -614,11 +678,13 @@ class MoaraNode:
             state.last_seen_seq = seq
         contributing = self.node_id in state.computed_update_set
         adaptor = state.adaptor
+        self._holding = True
         flipped = adaptor.record_query(contributing, missed)
         if flipped:
             self._after_adaptation(state, flipped)
         if adaptor.update:
             self._maybe_send_status(state)
+        self._holding = False
 
         # Forward-target memo probe (see _forward_targets), inlined with
         # the sorted-order memo: the fan-out set AND its deterministic
@@ -664,6 +730,8 @@ class MoaraNode:
             contributors=int(contributed),
         )
         self._pending[qkey] = pending
+        if self._held is not None:
+            self._flush_held()  # the reply is not imminent
         # One shared payload for the whole fan-out (receivers are
         # read-only); sorted for deterministic send order.
         self.network.send_many(
@@ -803,7 +871,17 @@ class MoaraNode:
         pred_key = payload["pred_key"]
         state = self.states.get(pred_key)
         src = message.src
-        if state is not None and "subtree_recv" in payload:
+        update_set = payload.get("update_set")
+        if update_set is not None:
+            # The child's status report rode its reply: it lands first,
+            # as the STATUS_UPDATE ahead of the reply did -- also when
+            # the aggregation it answers is already resolved.
+            if state is None:
+                state = self.get_state(payload["predicate"])
+            self._holding = True
+            self._apply_report(state, src, update_set, payload["subtree_recv"])
+            self._holding = False
+        elif state is not None and "subtree_recv" in payload:
             # Piggybacked np maintenance (Section 6.3) -- only reports from
             # our actual DHT children describe subtrees we own.  Children
             # memo probe and the no-change report (steady state: every
@@ -819,21 +897,23 @@ class MoaraNode:
                     state.record_child_report(src, None, sr)
         key = (payload["qid"], pred_key)
         pending = self._pending.get(key)
-        if pending is None or src not in pending.waiting:
-            return  # late response after timeout/failure resolution
-        pending.waiting.discard(src)
-        part = payload["partial"]
-        if part is not None:
-            # merge() treats None as the identity; skip the call for the
-            # common empty-subtree response.
-            pending.partial = (
-                part
-                if pending.partial is None
-                else pending.query.function.merge(pending.partial, part)
-            )
-        pending.contributors += payload["contributors"]
-        if not pending.waiting:
-            self._finalize(key)
+        # (else: late response after timeout/failure resolution)
+        if pending is not None and src in pending.waiting:
+            pending.waiting.discard(src)
+            part = payload["partial"]
+            if part is not None:
+                # merge() treats None as the identity; skip the call for
+                # the common empty-subtree response.
+                pending.partial = (
+                    part
+                    if pending.partial is None
+                    else pending.query.function.merge(pending.partial, part)
+                )
+            pending.contributors += payload["contributors"]
+            if not pending.waiting:
+                self._finalize(key)
+        if self._held is not None:
+            self._flush_held()  # our own report did not ride a reply
 
     def _on_timeout(self, key: tuple[str, str]) -> None:
         """Child-response deadline: answer with what we have (Section 7)."""
@@ -957,6 +1037,21 @@ class MoaraNode:
             # Served from a shared in-flight execution (cross-front-end
             # sub-query sharing): fresh data, zero marginal tree messages.
             payload["subscribed"] = True
+        held = self._held
+        if held is not None:
+            self._held = None
+            if (
+                held is state
+                and reply_to == state.known_parent
+                and reply_mtype == mt.QUERY_RESPONSE
+            ):
+                payload["update_set"] = state.sent_update_set
+                payload["predicate"] = state.predicate
+            else:
+                # Another tree's report, or a reply that bypasses the
+                # parent (separate query plane): send it on its own,
+                # ahead of the reply as before.
+                self._post_status(held)
         if is_root:
             # Piggyback the same 2*np query-cost estimate a SIZE_PROBE
             # would return, so the front-end's group-size cache is fed by

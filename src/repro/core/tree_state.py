@@ -31,12 +31,20 @@ Key modelling points (see DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from repro.core.adapt import Adaptor
 from repro.core.predicates import SimplePredicate
 
 __all__ = ["ChildInfo", "PredicateTreeState"]
+
+# Most tree states belong to leaves that are not in the group, and theirs
+# are all the same values: nobody to forward to, nobody reported, an empty
+# updateSet.  One read-only instance of each serves every such state
+# instead of a private empty container apiece.
+_NO_NODES: frozenset[int] = frozenset()
+_NO_REPORTS: Mapping[int, "ChildInfo"] = MappingProxyType({})
 
 
 @dataclass(slots=True)
@@ -67,13 +75,20 @@ class PredicateTreeState:
     #: message handler needs it; computed in __post_init__ if not given).
     pred_key: str = ""
 
+    #: ``frozenset({node_id})``, the updateSet of a node that must receive
+    #: queries itself.  The agent assigns one instance per node, shared by
+    #: all of that node's states, right after construction.
+    self_set: frozenset[int] = field(init=False, repr=False, compare=False)
+
     local_sat: bool = False
-    children: dict[int, ChildInfo] = field(default_factory=dict)
+    #: last report per DHT child; a dict from the first report on
+    #: (:meth:`record_child_report`), read-only and shared before.
+    children: Mapping[int, ChildInfo] = field(default_factory=lambda: _NO_REPORTS)
     #: last updateSet actually sent to the parent; None = nothing ever sent
     #: (the parent then defaults to treating us as ``{node_id}``).
     sent_update_set: Optional[frozenset[int]] = None
     #: last computed updateSet (change detection for adaptation events).
-    computed_update_set: frozenset[int] = frozenset()
+    computed_update_set: frozenset[int] = _NO_NODES
     last_seen_seq: int = 0
     known_parent: Optional[int] = None
 
@@ -81,7 +96,7 @@ class PredicateTreeState:
     #: for ``tree_key``, maintained by the agent against the overlay's
     #: membership version (stale entries are never consulted; every
     #: membership change bumps the version).  ``-1`` means never computed.
-    cached_children: list[int] = field(default_factory=list)
+    cached_children: Sequence[int] = ()
     cached_children_version: int = -1
     cached_parent: Optional[int] = None
     cached_parent_version: int = -1
@@ -97,7 +112,7 @@ class PredicateTreeState:
     #: routing memo).
     recv_version: int = 0
     fwd_targets_key: Optional[tuple] = None
-    fwd_targets: Optional[set[int]] = None
+    fwd_targets: Optional[AbstractSet[int]] = None
     #: ``sorted(fwd_targets)`` memoized alongside the set (the query path
     #: sorts the fan-out for deterministic send order on every receipt;
     #: invalidated whenever ``fwd_targets`` is recomputed).
@@ -105,14 +120,7 @@ class PredicateTreeState:
     subtree_recv_key: Optional[tuple] = None
     subtree_recv_value: int = 0
 
-    #: interned ``frozenset({node_id})`` (see __post_init__).
-    _self_set: frozenset = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
-        # Interned singleton for effective_sent_set's default: building a
-        # fresh frozenset per call showed up in profiles (it runs on every
-        # reply via subtree_recv).
-        self._self_set = frozenset((self.node_id,))
         if not self.pred_key:
             self.pred_key = self.predicate.canonical()
 
@@ -144,9 +152,11 @@ class PredicateTreeState:
         threshold, else collapse to our own ID (we become a forwarding
         hub that must receive queries itself)."""
         q = self.q_set(dht_children)
-        if len(q) < self.threshold:
-            return frozenset(q)
-        return frozenset([self.node_id])
+        if not q:
+            return _NO_NODES
+        if len(q) >= self.threshold or q == self.self_set:
+            return self.self_set
+        return frozenset(q)
 
     def sat(self, dht_children: Iterable[int]) -> bool:
         """Procedure 1: the subtree should keep receiving queries."""
@@ -163,15 +173,18 @@ class PredicateTreeState:
         parent forwards queries directly to us by default.
         """
         if self.sent_update_set is None:
-            return self._self_set
+            return self.self_set
         return self.sent_update_set
 
     def would_receive_queries(self) -> bool:
         """Does the parent's view route queries to this node?"""
         return self.node_id in self.effective_sent_set()
 
-    def forward_targets(self, dht_children: Iterable[int]) -> set[int]:
-        """Where to forward a received query (excluding ourselves)."""
+    def forward_targets(self, dht_children: Sequence[int]) -> AbstractSet[int]:
+        """Where to forward a received query (excluding ourselves).
+        Read-only for the caller."""
+        if not dht_children:
+            return _NO_NODES
         targets: set[int] = set()
         for child in dht_children:
             info = self.children.get(child)
@@ -219,8 +232,9 @@ class PredicateTreeState:
         (every reply re-piggybacks an unchanged ``subtree_recv``)."""
         info = self.children.get(child)
         if info is None:
-            info = ChildInfo()
-            self.children[child] = info
+            if self.children is _NO_REPORTS:
+                self.children = {}
+            info = self.children[child] = ChildInfo()
             self.report_version += 1
         if update_set is not None and update_set != info.update_set:
             info.update_set = update_set

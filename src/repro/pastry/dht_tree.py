@@ -14,7 +14,7 @@ the same accounting.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pastry.overlay import Overlay
@@ -67,9 +67,10 @@ class DHTTree:
         """Parent of ``node_id`` (None at the root)."""
         return self._parent[node_id]
 
-    def children_of(self, node_id: int) -> list[int]:
-        """Children of ``node_id`` (sorted for determinism)."""
-        return self._children.get(node_id, [])
+    def children_of(self, node_id: int) -> Sequence[int]:
+        """Children of ``node_id`` (sorted for determinism; read-only --
+        most nodes are leaves and share one empty result)."""
+        return self._children.get(node_id, ())
 
     def depth_of(self, node_id: int) -> int:
         """Number of hops from ``node_id`` up to the root."""

@@ -24,7 +24,7 @@ overlay size (verified by tests).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.pastry.dht_tree import DHTTree
 from repro.pastry.idindex import IdIndex
@@ -168,6 +168,6 @@ class Overlay:
         """The node's parent in the tree for ``key`` (None at the root)."""
         return self.tree(key).parent_of(node_id)
 
-    def children(self, node_id: int, key: int) -> list[int]:
+    def children(self, node_id: int, key: int) -> Sequence[int]:
         """The node's children in the tree for ``key``."""
         return self.tree(key).children_of(node_id)

@@ -472,11 +472,19 @@ class Engine:
         self._run_core(until, max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Run until no events remain.  Raises if ``max_events`` is exceeded."""
-        fired = 0
-        while self.step():
-            fired += 1
-            if fired > max_events:
+        """Run until no events remain.  Raises if ``max_events`` is exceeded.
+
+        A :meth:`request_stop` raised by a callback does not end the
+        drain: the drive loop returns and is re-entered with what is left
+        of the budget, until a pass fires nothing.
+        """
+        remaining = max_events + 1  # the overrun is noticed once it fired
+        while True:
+            fired = self._run_core(None, remaining)
+            if not fired:
+                return
+            remaining -= fired
+            if remaining <= 0:
                 raise RuntimeError(
                     f"simulation did not go idle within {max_events} events"
                 )

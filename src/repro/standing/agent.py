@@ -40,7 +40,7 @@ traffic (see :mod:`repro.core.messages`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core import messages as mt
 from repro.baselines.centralized import local_answer
@@ -118,10 +118,10 @@ class StandingAgent:
     # tree navigation (raw DHT tree -- no prune state)
     # ------------------------------------------------------------------
 
-    def _children(self, sub: _Subscription) -> list[int]:
+    def _children(self, sub: _Subscription) -> Sequence[int]:
         overlay = self._node.overlay
         if self._node.node_id not in overlay:
-            return []
+            return ()
         return overlay.children(self._node.node_id, sub.tree_key)
 
     def _parent(self, sub: _Subscription) -> Optional[int]:
@@ -146,7 +146,14 @@ class StandingAgent:
         payload = message.payload
         key = (payload["sub_id"], payload["pred_key"])
         sub = self._subs.get(key)
-        if sub is None:
+        rerooted = sub is None
+        if rerooted:
+            if not payload.get("rerooted"):
+                # A routine delta for a subscription we do not hold was
+                # sent before our cancel reached the sender (cancels walk
+                # down while deltas walk up).  Installing from it would
+                # bring the subscription back above the cancel.
+                return
             # Post-churn re-rooting: a child pushed to us before our own
             # install arrived.  The delta carries the install schema, so
             # install lazily (no fan-down; the front-end's re-install
@@ -161,7 +168,8 @@ class StandingAgent:
             payload["partial"],
             payload["contributors"],
         )
-        self._push(sub)
+        # Our own parent may not hold the subscription either.
+        self._push(sub, force=rerooted)
         self.expire_stale(self._node.network.engine.now)
 
     def handle_cancel(self, message: Message) -> None:
@@ -216,8 +224,8 @@ class StandingAgent:
         Partials from nodes that stopped being our children are dropped
         (their subtrees now reach the root through another path --
         keeping them would double-count), and a changed parent gets a
-        forced push carrying the install schema so it can install itself
-        lazily before its own install arrives.
+        forced push (marked ``rerooted``) carrying the install schema so
+        it can install itself lazily before its own install arrives.
         """
         if self._node.node_id not in self._node.overlay:
             self._subs.clear()
@@ -374,9 +382,9 @@ class StandingAgent:
         (suppressed when unchanged, exactly like sdims continuous)."""
         current = self._subtree(sub)
         parent = self._parent(sub)
+        rerooted = force or parent != sub.known_parent
         if (
-            not force
-            and parent == sub.known_parent
+            not rerooted
             and sub.last_pushed is not None
             and sub.last_pushed == current
         ):
@@ -388,27 +396,29 @@ class StandingAgent:
         if parent is None:
             # We are the root: fold into a front-end update.
             sub.seq += 1
-            node.network.send(
-                node.node_id,
-                sub.frontend,
-                mt.STANDING_UPDATE,
-                {
-                    "sub_id": sub.sub_id,
-                    "pred_key": sub.pred_key,
-                    "predicate": sub.predicate,
-                    "partial": partial,
-                    "contributors": contributors,
-                    "seq": sub.seq,
-                    # The same 2*np-style estimate a SIZE_RESPONSE would
-                    # carry, approximated by live contributor count:
-                    # feeds the front-end size cache for standing
-                    # replans without a probe round-trip.
-                    "cost": 2.0 * max(contributors, 1),
-                },
-            )
-            return
-        payload = _install_payload(sub)
-        payload["pred_key"] = sub.pred_key
-        payload["partial"] = partial
-        payload["contributors"] = contributors
-        node.network.send(node.node_id, parent, mt.SUB_DELTA, payload)
+            payload = {
+                "sub_id": sub.sub_id,
+                "pred_key": sub.pred_key,
+                "predicate": sub.predicate,
+                "partial": partial,
+                "contributors": contributors,
+                "seq": sub.seq,
+                # The same 2*np-style estimate a SIZE_RESPONSE would
+                # carry, approximated by live contributor count: feeds
+                # the front-end size cache for standing replans without
+                # a probe round-trip.
+                "cost": 2.0 * max(contributors, 1),
+            }
+            mtype, dst = mt.STANDING_UPDATE, sub.frontend
+        else:
+            payload = _install_payload(sub)
+            payload["pred_key"] = sub.pred_key
+            payload["partial"] = partial
+            payload["contributors"] = contributors
+            mtype, dst = mt.SUB_DELTA, parent
+        if rerooted:
+            # Not a routine change: the receiver may not know this
+            # subscription (a parent installs from the delta), or may
+            # have torn it down (a front-end answers with a cancel).
+            payload["rerooted"] = True
+        node.network.send(node.node_id, dst, mtype, payload)

@@ -56,6 +56,13 @@ UpdateCallback = Callable[[QueryResult], None]
 #: ``updates?since=`` endpoint); older folds are dropped and counted.
 MAX_UPDATES = 256
 
+#: ids of subscriptions this manager tore down itself that it still
+#: remembers, oldest forgotten first.  An update that was in flight when
+#: the teardown started would otherwise read as an unknown subscription
+#: and flood a second cancel behind the first; one that outlives this
+#: memory merely costs that redundant cancel.
+MAX_TORN_DOWN = 1024
+
 
 @dataclass
 class StandingHandle:
@@ -151,6 +158,8 @@ class StandingQueryManager:
         self._frontend = frontend
         self._counter = itertools.count(1)
         self._subs: dict[str, _StandingSub] = {}
+        #: recently torn-down ids (insertion-ordered; see MAX_TORN_DOWN).
+        self._torn_down: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     # introspection (leak invariant / routing)
@@ -234,6 +243,7 @@ class StandingQueryManager:
         sub = self._subs.pop(handle.sub_id, None)
         if sub is None:
             return
+        self._remember_torn_down(handle.sub_id)
         self._frontend.network.stats.standing_cancelled += 1
         for state in list(sub.groups.values()) + list(sub.pending.values()):
             self._send_cancel(handle.sub_id, state.predicate)
@@ -270,9 +280,12 @@ class StandingQueryManager:
         now = self._frontend.network.now
         sub = self._subs.get(sub_id)
         if sub is None:
-            # We no longer know this subscription (cancelled here, state
-            # lost to a restart): tell the pushing root to drop it so
-            # node-side tables cannot leak.
+            if sub_id in self._torn_down and not payload.get("rerooted"):
+                return  # in flight when we cancelled; that cancel covers it
+            # We never knew this subscription (state lost to a restart),
+            # or a re-rooting push brought it back behind our cancel:
+            # tell the pushing root to drop it so node-side tables cannot
+            # leak.
             self._send_cancel(sub_id, payload["predicate"])
             return
         if payload.get("expired"):
@@ -373,6 +386,11 @@ class StandingQueryManager:
             },
         )
 
+    def _remember_torn_down(self, sub_id: str) -> None:
+        self._torn_down[sub_id] = None
+        if len(self._torn_down) > MAX_TORN_DOWN:
+            del self._torn_down[next(iter(self._torn_down))]
+
     def _send_cancel(self, sub_id: str, group: Predicate) -> None:
         self._frontend.network.send(
             self._frontend.node_id,
@@ -398,6 +416,7 @@ class StandingQueryManager:
         handle.expired = True
         handle.active = False
         del self._subs[handle.sub_id]
+        self._remember_torn_down(handle.sub_id)
         for key, state in list(sub.groups.items()) + list(
             sub.pending.items()
         ):

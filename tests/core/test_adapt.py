@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,51 +132,109 @@ def test_window_length_validation() -> None:
 
 
 class _ReferenceAdaptor:
-    """An independent, deliberately naive re-implementation of Procedure 2
-    used as an oracle: keep the full event history, look at the last-k slice
-    for the *current* state, apply the 2*qn-vs-c rule once per event."""
+    """The window as the plain data structure it stands for -- a bounded
+    deque of event names -- and Procedure 2 applied to its last-k slice
+    once per recorded event.  The oracle for the packed-int window."""
 
-    def __init__(self, k_update: int, k_no_update: int) -> None:
+    def __init__(self, k_update: int, k_no_update: int, policy=MaintenancePolicy.ADAPTIVE) -> None:
         self.k_update = k_update
         self.k_no_update = k_no_update
-        self.update = False
-        self.history: list[str] = []
-        self.maxlen = max(k_update, k_no_update)
+        self.adaptive = policy is MaintenancePolicy.ADAPTIVE
+        self.update = policy is MaintenancePolicy.ALWAYS_UPDATE
+        self.events: deque[str] = deque(maxlen=max(k_update, k_no_update))
 
-    def record(self, event: str) -> None:
-        self.history.append(event)
-        self.history = self.history[-self.maxlen :]
+    def _window(self) -> list[str]:
         k = self.k_update if self.update else self.k_no_update
-        window = self.history[-k:]
-        qn = window.count("qn")
-        c = window.count("c")
+        return list(self.events)[-k:]
+
+    def counts(self) -> tuple[int, int, int]:
+        window = self._window()
+        return window.count("qn"), window.count("qs"), window.count("c")
+
+    def _reevaluate(self) -> bool:
+        if not self.adaptive:
+            return False
+        qn, _, c = self.counts()
+        before = self.update
         if 2 * qn < c:
             self.update = False
         elif 2 * qn > c:
             self.update = True
+        return self.update != before
+
+    def record_query(self, contributing: bool, missed: int = 0) -> bool:
+        self.events.extend(["qn"] * min(missed, self.events.maxlen))
+        self.events.append("qs" if contributing else "qn")
+        return self._reevaluate()
+
+    def record_change(self) -> bool:
+        self.events.append("c")
+        return self._reevaluate()
+
+
+def _assert_in_step(a: Adaptor, ref: _ReferenceAdaptor, events) -> None:
+    for kind, flag, missed in events:
+        if kind == "q":
+            flipped = a.record_query(contributing=flag, missed=missed)
+            assert flipped == ref.record_query(flag, missed)
+        else:
+            assert a.record_change() == ref.record_change()
+        assert a.update == ref.update
+        assert a.counts() == ref.counts()
+
+
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from("qqc"),
+        st.booleans(),
+        st.sampled_from([0, 0, 0, 1, 2, 7]),
+    ),
+    max_size=50,
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("q"), st.booleans()),
-            st.tuples(st.just("c"), st.booleans()),
-        ),
-        max_size=50,
-    ),
+    _EVENTS,
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=5),
 )
 def test_matches_reference_model(events, k_update, k_no_update) -> None:
-    """The windowed deque bookkeeping agrees with a naive oracle."""
-    a = adaptor(k_update=k_update, k_no_update=k_no_update)
-    ref = _ReferenceAdaptor(k_update, k_no_update)
-    for kind, flag in events:
-        if kind == "q":
-            a.record_query(contributing=flag)
-            ref.record("qs" if flag else "qn")
+    """The packed window agrees with the deque it replaces, flip for
+    flip, including sequence-number gaps."""
+    _assert_in_step(
+        adaptor(k_update=k_update, k_no_update=k_no_update),
+        _ReferenceAdaptor(k_update, k_no_update),
+        events,
+    )
+
+
+@pytest.mark.parametrize("policy", list(MaintenancePolicy))
+def test_matches_reference_model_for_every_window_pair(policy) -> None:
+    """Every (k_update, k_no_update) in 1..5, long seeded sequences (the
+    sampled test above visits the pairs at random)."""
+    rng = random.Random(4)
+    for k_update in range(1, 6):
+        for k_no_update in range(1, 6):
+            events = [
+                (rng.choice("qqc"), rng.random() < 0.5, rng.choice([0, 0, 0, 1, 2, 7]))
+                for _ in range(400)
+            ]
+            _assert_in_step(
+                adaptor(k_update, k_no_update, policy),
+                _ReferenceAdaptor(k_update, k_no_update, policy),
+                events,
+            )
+
+
+def test_default_window_is_a_small_int() -> None:
+    """The memory claim: with the default (1, 3) windows the packed
+    window never leaves the interpreter's small-int cache."""
+    a = adaptor()
+    rng = random.Random(9)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            a.record_query(rng.random() < 0.5, missed=rng.choice([0, 3, 50]))
         else:
             a.record_change()
-            ref.record("c")
-        assert a.update == ref.update
+        assert 0 <= a._events < 64

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
 
 from repro.core import MoaraCluster
 from repro.core.adapt import AdaptationConfig, MaintenancePolicy
 from repro.core.moara_node import MoaraConfig
 from repro.core import messages as mt
+from repro.core.parser import parse_query
+from repro.sim.latency import LANLatencyModel, WANLatencyModel
+from repro.sim.network import Message
 
 
 def make_cluster(policy: MaintenancePolicy, num_nodes: int = 128, **kwargs) -> MoaraCluster:
@@ -151,3 +155,149 @@ def test_status_updates_flow_to_parents_only() -> None:
         for state in node.states.values():
             if state.sent_update_set is not None:
                 assert state.known_parent == tree.parent_of(node_id)
+
+
+# ----------------------------------------------------------------------
+# status reports raised while handling a query ride the reply
+# ----------------------------------------------------------------------
+
+
+def test_cold_query_costs_two_messages_per_node() -> None:
+    """Forming a group tree: every node below the root receives the query
+    once and answers once, and the PRUNE that nine in ten of them raise
+    travels on that answer, not beside it (it used to be a third message:
+    2.88 per created state on this overlay)."""
+    cluster = MoaraCluster(512, seed=5)
+    rng = random.Random(1)
+    groups = [f"g{i}" for i in range(8)]
+    for name in groups:
+        cluster.set_group(name, rng.sample(cluster.node_ids, 51))
+    cluster.run_until_idle()
+    cluster.stats.reset()
+    for name in groups:
+        assert cluster.query(f"SELECT COUNT(*) WHERE {name} = true").value == 51
+    edges = len(cluster) - 1
+    assert dict(cluster.stats.by_type) == {
+        mt.FRONTEND_QUERY: 8,
+        mt.QUERY: 8 * edges,
+        mt.QUERY_RESPONSE: 8 * edges,
+        mt.FRONTEND_RESPONSE: 8,
+    }
+    # The reports did land: the second query is group-sized.
+    assert cluster.query("SELECT COUNT(*) WHERE g0 = true").message_cost < len(cluster) // 2
+
+
+def _assert_parents_know_what_children_sent(cluster: MoaraCluster) -> int:
+    """At quiesce the parent's record of a child is what the child believes
+    it last sent -- whether that travelled alone or on a reply."""
+    checked = 0
+    for node_id, node in cluster.nodes.items():
+        for pred_key, state in node.states.items():
+            parent = cluster.overlay.parent(node_id, state.tree_key)
+            if parent is None:
+                continue
+            parent_state = cluster.nodes[parent].states.get(pred_key)
+            info = parent_state.children.get(node_id) if parent_state else None
+            assert (info.update_set if info else None) == state.sent_update_set
+            checked += state.sent_update_set is not None
+    return checked
+
+
+_LATENCY_MODELS = {
+    "zero": lambda seed: None,
+    "lan": lambda seed: LANLatencyModel(seed=seed),
+    "wan": lambda seed: lambda ids: WANLatencyModel(ids, seed=seed),  # unfused two-phase delivery
+}
+
+
+@pytest.mark.parametrize("latency", list(_LATENCY_MODELS))
+@pytest.mark.parametrize("policy", list(MaintenancePolicy))
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_parent_view_matches_what_children_sent(threshold, policy, latency) -> None:
+    for seed in (3, 12):
+        cluster = MoaraCluster(
+            160,
+            seed=seed,
+            config=MoaraConfig(
+                threshold=threshold, adaptation=AdaptationConfig(policy=policy)
+            ),
+            latency_model=_LATENCY_MODELS[latency](seed),
+        )
+        rng = random.Random(seed)
+        ids = cluster.node_ids
+        for name, size in (("A", 6), ("B", 40)):
+            cluster.set_group(name, rng.sample(ids, size), 1, 0)
+        for _ in range(6):
+            for name in "AB":
+                cluster.query(f"SELECT COUNT(*) WHERE {name} = 1")
+            for _ in range(12):
+                cluster.set_attribute(rng.choice(ids), rng.choice("AB"), rng.randint(0, 1))
+            cluster.run_until_idle()
+            checked = _assert_parents_know_what_children_sent(cluster)
+        if policy is MaintenancePolicy.NEVER_UPDATE:
+            assert checked == 0 and mt.STATUS_UPDATE not in cluster.stats.by_type
+        else:
+            assert checked > 100
+
+
+def _leaf_outside_the_group(cluster: MoaraCluster) -> tuple[int, int]:
+    tree = cluster.overlay.tree(cluster.overlay.space.hash_name("A"))
+    for node_id in cluster.node_ids:
+        if (
+            not tree.children_of(node_id)
+            and node_id != tree.root
+            and not cluster.nodes[node_id].attributes.get("A", 0)
+        ):
+            return node_id, tree.parent_of(node_id)
+    raise AssertionError("no such leaf")
+
+
+def _query_message(src: int, dst: int, qid: str) -> Message:
+    query = parse_query(QUERY)
+    return Message(
+        mt.QUERY,
+        src,
+        dst,
+        {"qid": qid, "seq": 1, "query": query, "predicate": query.predicate},
+    )
+
+
+def test_late_reply_still_applies_its_report() -> None:
+    """A reply that arrives after its aggregation was resolved (child
+    timeout, Section 7) answers nothing any more -- but the report it
+    carries is news about the child, not about the query."""
+    cluster = make_cluster(MaintenancePolicy.ADAPTIVE, num_nodes=64, child_timeout=0.5)
+    leaf_id, parent_id = _leaf_outside_the_group(cluster)
+    leaf, parent = cluster.nodes[leaf_id], cluster.nodes[parent_id]
+    leaf.handle_message(_query_message(parent_id, leaf_id, "q-late"))
+    cluster.run_until_idle()
+    assert not parent._pending, "nothing is waiting for this reply"
+    assert leaf.states["(A = 1)"].sent_update_set == frozenset()
+    assert parent.states["(A = 1)"].children[leaf_id].update_set == frozenset()
+    assert dict(cluster.stats.by_type) == {mt.QUERY_RESPONSE: 1}
+
+
+def test_handler_that_raises_leaves_no_report_held(monkeypatch) -> None:
+    cluster = make_cluster(MaintenancePolicy.ADAPTIVE, num_nodes=64)
+    leaf_id, parent_id = _leaf_outside_the_group(cluster)
+    leaf = cluster.nodes[leaf_id]
+
+    def boom(qid, query):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(leaf, "_local_contribution", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        # Raises its PRUNE, then fails before the reply that would carry it.
+        leaf.handle_message(_query_message(parent_id, leaf_id, "q-1"))
+    assert leaf._held is None and leaf._holding is False
+    # The report was recorded as sent, so it went out (on its own).
+    assert leaf.states["(A = 1)"].sent_update_set == frozenset()
+    assert dict(cluster.stats.by_type) == {mt.STATUS_UPDATE: 1}
+    monkeypatch.undo()
+    # The next handler starts clean: an ordinary reply, nothing riding it.
+    reply = []
+    monkeypatch.setattr(cluster.network, "send", lambda *args: reply.append(args))
+    leaf.handle_message(_query_message(parent_id, leaf_id, "q-2"))
+    [(_, dst, mtype, payload)] = reply
+    assert (dst, mtype) == (parent_id, mt.QUERY_RESPONSE)
+    assert "update_set" not in payload

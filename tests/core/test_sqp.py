@@ -185,3 +185,53 @@ def test_bypassed_nodes_forward_sets_upward() -> None:
             subtree = set(tree.subtree_nodes(node_id))
             assert set(state.sent_update_set) <= subtree
     assert bypassed > 0, "expected at least one short-circuited internal node"
+
+
+def test_report_to_a_bypassed_parent_travels_alone_ahead_of_the_reply() -> None:
+    """A node the separate query plane reaches directly answers to the
+    ancestor that forwarded the query, but reports to its DHT parent: the
+    two go to different nodes, so the report cannot ride the reply.  It
+    leaves as a STATUS_UPDATE, before the reply, as it always did."""
+    cluster = build(512, threshold=2, group=4, seed=34)
+    warm_to_steady_state(cluster)
+    tree = cluster.overlay.tree(cluster.overlay.space.hash_name("A"))
+    pred_key = "(A = 1)"
+    sends: list[tuple] = []
+    real_send = cluster.network.send
+
+    def tap(src, dst, mtype, payload=None):
+        sends.append((src, dst, mtype, payload))
+        return real_send(src, dst, mtype, payload)
+
+    cluster.network.send = tap
+    send_many = cluster.network.send_many
+    cluster.network.send_many = lambda src, dsts, mtype, payload=None: (
+        sends.extend((src, dst, mtype, payload) for dst in dsts),
+        send_many(src, dsts, mtype, payload),
+    )
+    cluster.query(QUERY)
+    member, forwarder = next(
+        (dst, src)
+        for src, dst, mtype, _ in sends
+        if mtype == mt.QUERY
+        and src != tree.parent_of(dst)
+        and cluster.nodes[dst].states[pred_key].local_sat
+        and not cluster.nodes[dst]._forward_targets(cluster.nodes[dst].states[pred_key])
+    )
+    parent = tree.parent_of(member)
+    # Leave the group silently (the change flips the node to NO-UPDATE),
+    # so the next query still reaches it and finds it not contributing:
+    # that flips it back to UPDATE, and it PRUNEs while handling the query.
+    cluster.set_attribute(member, "A", 0)
+    cluster.run_until_idle()
+    del sends[:]
+    assert cluster.query(QUERY).value == 3
+    from_member = [(dst, mtype, payload) for src, dst, mtype, payload in sends if src == member]
+    assert [(dst, mtype) for dst, mtype, _ in from_member] == [
+        (parent, mt.STATUS_UPDATE),
+        (forwarder, mt.QUERY_RESPONSE),
+    ]
+    assert from_member[0][2]["update_set"] == frozenset()
+    assert "update_set" not in from_member[1][2]
+    cluster.run_until_idle()
+    assert cluster.nodes[parent].states[pred_key].children[member].update_set == frozenset()

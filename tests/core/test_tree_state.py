@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
+
+from repro.core import MoaraCluster
 from repro.core.adapt import AdaptationConfig, Adaptor
 from repro.core.predicates import Comparison, SimplePredicate
 from repro.core.tree_state import ChildInfo, PredicateTreeState
@@ -9,14 +14,18 @@ from repro.core.tree_state import ChildInfo, PredicateTreeState
 PRED = SimplePredicate("A", Comparison.EQ, 1)
 
 
-def make_state(node_id: int = 10, threshold: int = 2) -> PredicateTreeState:
-    return PredicateTreeState(
+def make_state(
+    node_id: int = 10, threshold: int = 2, tree_key: int = 123
+) -> PredicateTreeState:
+    state = PredicateTreeState(
         predicate=PRED,
-        tree_key=123,
+        tree_key=tree_key,
         node_id=node_id,
         adaptor=Adaptor(AdaptationConfig()),
         threshold=threshold,
     )
+    state.self_set = frozenset([node_id])
+    return state
 
 
 def test_silent_children_must_receive_queries() -> None:
@@ -135,3 +144,53 @@ def test_child_info_defaults() -> None:
     info = ChildInfo()
     assert info.update_set is None
     assert info.subtree_recv == 1
+
+
+# ----------------------------------------------------------------------
+# footprint: most states are a non-member leaf's, and those share their
+# (empty) values instead of owning a container apiece
+# ----------------------------------------------------------------------
+
+
+def test_states_share_their_empty_and_own_id_values() -> None:
+    a, b = make_state(), make_state(tree_key=456)
+    self_set = b.self_set = a.self_set  # as one node gives all its states
+    assert a.children is b.children and not a.children
+    assert a.forward_targets(()) is b.forward_targets(())
+    assert a.compute_update_set(()) is b.compute_update_set(()) == frozenset()
+    assert a.compute_update_set([1, 2, 3]) is self_set  # collapsed hub
+    a.local_sat = True
+    assert a.compute_update_set(()) is self_set  # a member leaf
+    assert a.effective_sent_set() is self_set
+    # The first report gives a state its own map; the shared one stays empty.
+    a.record_child_report(1, frozenset(), 0)
+    assert set(a.children) == {1} and not b.children
+    assert a.forget_children({1}) is True and not a.children
+
+
+def test_retained_bytes_per_tree_state() -> None:
+    """Forming 8 group trees over 512 nodes creates 4096 states; what the
+    process retains for them (state, adaptor, the parent's ChildInfo, memo
+    keys, duplicate-suppression entries) stays near 1 KB apiece.  It was
+    2.5 KB with a deque window and private empty sets per state."""
+    rng = random.Random(1)
+    cluster = MoaraCluster(512, seed=5)
+    groups = [f"g{i}" for i in range(8)]
+    for name in groups:
+        cluster.set_group(name, rng.sample(cluster.node_ids, 51))
+    cluster.run_until_idle()
+    cluster.query("SELECT COUNT(*) WHERE warm = true")  # per-tree, not per-state, set-up
+    before = sum(len(node.states) for node in cluster.nodes.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for name in groups:
+            assert cluster.query(f"SELECT COUNT(*) WHERE {name} = true").value == 51
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    created = sum(len(node.states) for node in cluster.nodes.values()) - before
+    assert created == 8 * 512
+    assert retained / created <= 1300

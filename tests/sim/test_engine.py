@@ -264,3 +264,86 @@ def test_request_stop_with_time_bound(engine: Engine) -> None:
     engine.run(until=10.0)
     assert fired == [0]
     assert engine.now == 1.0
+
+
+# ----------------------------------------------------------------------
+# run_until_idle drives the kernel in whole passes, not event by event
+# ----------------------------------------------------------------------
+
+
+def test_run_until_idle_swallows_a_stop_request_mid_drain(engine: Engine) -> None:
+    fired: list[int] = []
+
+    def stopper() -> None:
+        fired.append(0)
+        engine.request_stop()
+
+    engine.schedule(1.0, stopper)
+    engine.schedule(2.0, fired.append, 1)
+    batch = engine.batch_list()
+    batch.extend([2, 3])
+    engine.post_batch_at(3.0, fired.append, batch)
+    engine.run_until_idle()
+    assert fired == [0, 1, 2, 3]
+    assert engine.pending == 0
+    # ... and the swallowed request does not end a later run early.
+    engine.schedule(1.0, fired.append, 4)
+    engine.schedule(2.0, fired.append, 5)
+    engine.run()
+    assert fired == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+def test_run_until_idle_budget_overrun_is_noticed_once_it_fired(kernel: str) -> None:
+    engine = Engine(kernel=kernel)
+    fired: list[int] = []
+    batch = engine.batch_list()
+    batch.extend(range(10))
+    engine.post_batch_at(1.0, fired.append, batch)
+    with pytest.raises(RuntimeError, match="did not go idle within 4 events"):
+        engine.run_until_idle(max_events=4)
+    # The event that overran the budget is the last one fired; the rest
+    # of the batch is still queued, in order.
+    assert fired == [0, 1, 2, 3, 4]
+    assert engine.pending == 5
+    engine.run_until_idle()
+    assert fired == list(range(10))
+
+
+def test_run_until_idle_within_budget_does_not_raise(engine: Engine) -> None:
+    fired: list[int] = []
+    for i in range(4):
+        engine.schedule(float(i), fired.append, i)
+    engine.run_until_idle(max_events=4)
+    assert fired == [0, 1, 2, 3]
+
+
+def _fan_out_order(kernel: str) -> list[str]:
+    """Batches that post batches and stop mid-way, drained by
+    run_until_idle: the fire order must not depend on the kernel."""
+    engine = Engine(kernel=kernel)
+    fired: list[str] = []
+
+    def deliver(item: str) -> None:
+        fired.append(item)
+        if len(item) < 3:
+            batch = engine.batch_list()
+            batch.extend(item + suffix for suffix in "xyz")
+            engine.post_batch_at(engine.now, deliver, batch)
+            engine.post1_at(engine.now + 0.5, fired.append, item + "!")
+        if item.endswith("y"):
+            engine.request_stop()
+
+    batch = engine.batch_list()
+    batch.extend("abc")
+    engine.post_batch_at(1.0, deliver, batch)
+    engine.run_until_idle()
+    assert engine.pending == 0
+    return fired
+
+
+def test_run_until_idle_fan_out_order_is_kernel_independent() -> None:
+    wheel = _fan_out_order("wheel")
+    assert wheel == _fan_out_order("heap")
+    assert wheel[:6] == ["a", "b", "c", "ax", "ay", "az"]
+    assert len(wheel) == 3 + 9 + 27 + 12

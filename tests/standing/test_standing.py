@@ -16,6 +16,8 @@ import pytest
 from repro.baselines import centralized_answer
 from repro.campaigns import values_equal
 from repro.core import MoaraCluster
+from repro.core import messages as mt
+from repro.sim.network import Message
 
 NUM_NODES = 30
 
@@ -127,6 +129,137 @@ def test_cancel_clears_every_node_table(cluster) -> None:
     assert not handle.active
     assert _node_leaks(cluster) == {}
     assert frontend.standing.active_sub_ids() == set()
+
+
+@pytest.mark.parametrize("fired_before_cancel", [0, 7, 19, 40, 77])
+def test_cancel_with_deltas_in_flight_floods_once(fired_before_cancel) -> None:
+    """A cancel walks down the tree while deltas from earlier writes walk
+    up it, and updates already on their way to the front-end arrive after
+    it forgot the subscription.  Neither may bring state back or start a
+    second flood behind the first."""
+    cluster = MoaraCluster(200, seed=6)
+    for index, node_id in enumerate(cluster.node_ids):
+        cluster.set_attribute(node_id, "load", float(index % 9))
+        cluster.set_attribute(node_id, "dc", "east" if index % 3 == 0 else "west")
+    cluster.run_until_idle()
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe("SELECT SUM(load) WHERE dc = 'east' OR load > 6")
+    cluster.run_until_idle()
+    assert len(handle.cover) == 2
+    cluster.stats.reset()
+    for node_id in cluster.node_ids[::7]:
+        cluster.set_attribute(node_id, "load", 100.0)
+    cluster.engine.run(max_events=fired_before_cancel)
+    assert cluster.engine.pending, "the write deltas must still be in flight"
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+    # One flood per cover tree: the front-end's message to the root, then
+    # one per tree edge.
+    assert cluster.stats.by_type[mt.SUB_CANCEL] == len(handle.cover) * len(cluster)
+
+
+def test_update_for_a_never_registered_id_is_cancelled_at_the_root(cluster) -> None:
+    """A front-end that lost its state (restart) must still be able to
+    stop a root that keeps pushing: one cancel, as before."""
+    first, second = cluster.frontends[0], cluster.add_frontend()
+    handle = first.subscribe("SELECT COUNT(*) WHERE dc = 'east'")
+    cluster.run_until_idle()
+    assert _node_leaks(cluster)
+    update = Message(
+        mt.STANDING_UPDATE,
+        src=first.standing._root_for(handle.query.predicate),
+        dst=second.node_id,
+        payload={
+            "sub_id": handle.sub_id,
+            "pred_key": handle.cover[0],
+            "predicate": handle.query.predicate,
+            "partial": None,
+            "contributors": 0,
+            "seq": 1,
+        },
+    )
+    cluster.stats.reset()
+    second.standing.on_update(update)
+    second.standing.on_update(update)
+    cluster.run_until_idle()
+    assert cluster.stats.by_type[mt.SUB_CANCEL] == 2 * len(cluster)
+    assert _node_leaks(cluster) == {}
+
+
+@pytest.mark.parametrize("remembered", [8, None])
+def test_cancelling_many_subscriptions_with_deltas_in_flight_leaks_nothing(
+    monkeypatch, remembered
+) -> None:
+    """The front-end's teardown memory is bounded; the node side keeps
+    none.  Cancelling more subscriptions than the memory holds may cost
+    redundant floods, never state left behind."""
+    from repro.standing import manager
+
+    if remembered is not None:
+        monkeypatch.setattr(manager, "MAX_TORN_DOWN", remembered)
+    cluster = MoaraCluster(200, seed=6)
+    for index, node_id in enumerate(cluster.node_ids):
+        cluster.set_attribute(node_id, "load", float(index % 9))
+        cluster.set_attribute(node_id, "dc", "east" if index % 3 == 0 else "west")
+    cluster.run_until_idle()
+    frontend = cluster.frontends[0]
+    handles = [
+        frontend.subscribe("SELECT SUM(load) WHERE dc = 'east'") for _ in range(100)
+    ]
+    cluster.run_until_idle()
+    cluster.stats.reset()
+    for node_id in cluster.node_ids[::7]:
+        cluster.set_attribute(node_id, "load", 100.0)
+    cluster.engine.run(max_events=40)
+    assert cluster.engine.pending, "the write deltas must still be in flight"
+    for handle in handles:
+        frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+    assert len(frontend.standing._torn_down) == (remembered or len(handles))
+    floods = cluster.stats.by_type[mt.SUB_CANCEL] / len(cluster)
+    if remembered is None:
+        assert floods == len(handles)
+    else:
+        assert floods > len(handles)  # forgotten ids: the echo, as before
+
+
+def test_only_a_rerooting_delta_installs_and_the_frontend_cancels_it(cluster) -> None:
+    """After a cancel, a routine delta sent before the cancel reached its
+    sender is dropped where it lands.  A re-rooting one (the sender's
+    parent changed) installs there and at every ancestor, as it must for
+    a live subscription; the root's update then says so, and a front-end
+    that tore the id down answers with a cancel instead of dropping it."""
+    from repro.standing.agent import _install_payload
+
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe("SELECT COUNT(*) WHERE dc = 'east'")
+    cluster.run_until_idle()
+    tree = cluster.overlay.tree(cluster.overlay.space.hash_name("dc"))
+    child = max(cluster.node_ids, key=tree.depth_of)
+    parent = tree.parent_of(child)
+    (sub,) = cluster.nodes[child].standing._subs.values()
+    payload = _install_payload(sub)
+    payload.update(pred_key=sub.pred_key, partial=1, contributors=1)
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+
+    cluster.stats.reset()
+    cluster.network.send(child, parent, mt.SUB_DELTA, dict(payload))
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+    assert dict(cluster.stats.by_type) == {mt.SUB_DELTA: 1}
+
+    cluster.stats.reset()
+    cluster.network.send(child, parent, mt.SUB_DELTA, dict(payload, rerooted=True))
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+    assert tree.depth_of(child) > 1
+    assert cluster.stats.by_type[mt.SUB_DELTA] == tree.depth_of(child)
+    assert cluster.stats.by_type[mt.STANDING_UPDATE] == 1
+    assert cluster.stats.by_type[mt.SUB_CANCEL] == len(cluster)
 
 
 def test_crash_and_join_converge(cluster) -> None:
