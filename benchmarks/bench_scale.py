@@ -150,6 +150,9 @@ def _run_workload(
         "events": float(events),
         "events_per_s": events / wall if wall > 0 else float("inf"),
         "msgs_per_query": query_plane / submitted,
+        # Groups grow with the overlay (N // 40), and a query costs what
+        # its group costs: this is the number to compare across scales.
+        "msgs_per_member": query_plane / submitted / group_size,
         "total_msgs": total_msgs,
     }
 
@@ -177,6 +180,7 @@ _METRICS = [
     ("events", "engine events"),
     ("events_per_s", "events / wall second"),
     ("msgs_per_query", "query-plane msgs/query"),
+    ("msgs_per_member", "msgs/query per group member"),
     ("total_msgs", "total messages"),
 ]
 

@@ -80,6 +80,10 @@ def run_standing_churn() -> dict:
     frontend = cluster.frontends[0]
     handle = frontend.subscribe(QUERY)
     cluster.run_until_idle()  # installs flood once; excluded from deltas
+    # The subscribe cost, read before the reset: one SUB_INSTALL per node
+    # plus the first reports (only subtrees holding a member send one).
+    install_msgs = cluster.stats.total_messages
+    install_deltas = cluster.stats.by_type["SUB_DELTA"]
     cluster.stats.reset()
     rng = random.Random(SEED + 1)
     mismatches = 0
@@ -110,6 +114,8 @@ def run_standing_churn() -> dict:
         "polling_msgs": polling_msgs,
         "ratio": standing_msgs / polling_msgs if polling_msgs else 0.0,
         "mismatches": mismatches,
+        "install_msgs": install_msgs,
+        "install_deltas": install_deltas,
     }
 
 
@@ -125,6 +131,8 @@ def test_standing_beats_repolling_under_churn(benchmark, emit) -> None:
         f"{'polling':>12s}{row['polling_msgs']:>12d}"
         f"{row['polling_msgs'] / row['rounds']:>12.1f}",
         f"standing/polling ratio: {row['ratio']:.3f}",
+        f"subscribe (before the rounds): {row['install_msgs']} msgs, "
+        f"of which {row['install_deltas']} first-report deltas",
     ]
     emit("standing_churn", lines)
 

@@ -10,7 +10,10 @@ plane, and the standing-query churn run -- under plain
 writes the numbers to ``BENCH_scale.json`` at the repo root, and
 compares against the committed baseline.  The campaign rows double as
 correctness gates: any invariant violation exits non-zero regardless
-of timing.
+of timing.  So does the scale pair: messages per query *per group
+member* at 100k nodes more than 1.15x the 10k value is a hard failure
+(both rows size their groups at N / 40, so that ratio -- not raw
+``msgs_per_query`` -- is what must not grow with the overlay).
 
 The *comparison* is **non-blocking**: a wall-clock regression worse than
 ``--threshold`` (default 25%) prints a GitHub Actions ``::warning::``
@@ -74,11 +77,9 @@ def _time_fig17() -> dict:
     }
 
 
-def _time_scale() -> dict:
-    from bench_scale import run_scale
-
+def _scale_row(run) -> dict:
     started = time.perf_counter()
-    row = run_scale()
+    row = run()
     wall = time.perf_counter() - started
     return {
         "wall_s": round(wall, 3),
@@ -87,27 +88,22 @@ def _time_scale() -> dict:
         "nodes": int(row["nodes"]),
         "queries": int(row["queries"]),
         "msgs_per_query": round(row["msgs_per_query"], 2),
+        "msgs_per_member": round(row["msgs_per_member"], 4),
         "queries_per_wall_s": round(row["queries_per_wall_s"], 1),
         "events_per_s": round(row["events_per_s"], 1),
     }
+
+
+def _time_scale() -> dict:
+    from bench_scale import run_scale
+
+    return _scale_row(run_scale)
 
 
 def _time_scale_100k() -> dict:
     from bench_scale import run_scale_100k
 
-    started = time.perf_counter()
-    row = run_scale_100k()
-    wall = time.perf_counter() - started
-    return {
-        "wall_s": round(wall, 3),
-        "build_s": round(row["build_s"], 3),
-        "query_phase_s": round(row["wall_s"], 3),
-        "nodes": int(row["nodes"]),
-        "queries": int(row["queries"]),
-        "msgs_per_query": round(row["msgs_per_query"], 2),
-        "queries_per_wall_s": round(row["queries_per_wall_s"], 1),
-        "events_per_s": round(row["events_per_s"], 1),
-    }
+    return _scale_row(run_scale_100k)
 
 
 def _time_shard_scaleout() -> dict:
@@ -200,7 +196,14 @@ def _time_standing_churn() -> dict:
         "polling_msgs": row["polling_msgs"],
         "ratio": round(row["ratio"], 4),
         "mismatches": row["mismatches"],
+        "install_msgs": row["install_msgs"],
+        "install_deltas": row["install_deltas"],
     }
+
+
+#: a query costs what its group costs: the 100k row's messages per query
+#: per group member may exceed the 10k row's by at most this factor.
+MEMBER_COST_GROWTH = 1.15
 
 
 class BaselineError(RuntimeError):
@@ -309,12 +312,14 @@ def main() -> int:
     scale = _time_scale()
     print(f"  scale: {scale['wall_s']:.2f}s wall "
           f"({scale['nodes']} nodes, {scale['queries']} queries, "
-          f"{scale['msgs_per_query']:.1f} msgs/query, "
+          f"{scale['msgs_per_query']:.1f} msgs/query = "
+          f"{scale['msgs_per_member']:.3f} per group member, "
           f"{scale['events_per_s']:,.0f} events/s)")
     scale_100k = _time_scale_100k()
     print(f"  scale_100k: {scale_100k['wall_s']:.2f}s wall "
           f"({scale_100k['nodes']} nodes, {scale_100k['queries']} queries, "
-          f"{scale_100k['msgs_per_query']:.1f} msgs/query, "
+          f"{scale_100k['msgs_per_query']:.1f} msgs/query = "
+          f"{scale_100k['msgs_per_member']:.3f} per group member, "
           f"{scale_100k['events_per_s']:,.0f} events/s)")
     shard = _time_shard_scaleout()
     print(f"  shard_scaleout: {shard['wall_s']:.2f}s wall "
@@ -333,7 +338,9 @@ def main() -> int:
           f"({standing['standing_msgs']} standing vs "
           f"{standing['polling_msgs']} polling msgs, "
           f"ratio {standing['ratio']:.3f}, "
-          f"{standing['mismatches']} mismatches)")
+          f"{standing['mismatches']} mismatches; install "
+          f"{standing['install_msgs']} msgs of which "
+          f"{standing['install_deltas']} deltas)")
 
     record = {
         "schema": 1,
@@ -370,6 +377,18 @@ def main() -> int:
         bench_file.write_text(json.dumps(record, indent=2) + "\n")
         print(f"  wrote {bench_file.relative_to(REPO_ROOT)}")
     failed = False
+    if (
+        scale_100k["msgs_per_member"]
+        > MEMBER_COST_GROWTH * scale["msgs_per_member"]
+    ):
+        print(
+            f"::error title=scale cost::scale_100k spends "
+            f"{scale_100k['msgs_per_member']:.4f} msgs/query per group "
+            f"member, more than {MEMBER_COST_GROWTH}x the scale row's "
+            f"{scale['msgs_per_member']:.4f}: per-query cost no longer "
+            f"follows group size"
+        )
+        failed = True
     for row in (campaign, chaos):
         if row["violations"]:
             # Wall-clock drift only warns; a broken invariant is a bug.

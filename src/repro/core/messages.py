@@ -91,19 +91,28 @@ never drained by ``pop_tag`` would otherwise grow without bound).
     the full chosen cover (tuple of group :class:`~repro.core.
     predicates.Predicate` objects, for enmeshed OR-dedup), ``lease``
     the root-enforced lease in seconds (0 = no expiry), ``frontend``
-    the subscribing front-end's node id.
+    the subscribing front-end's node id.  Plus the per-flood keys, the
+    same at every node and therefore resolved once where the flood
+    starts (:func:`repro.standing.agent.install_payload`):
+    ``pred_key`` the predicate's canonical key, ``tree_key`` the DHT key
+    of its tree, ``attrs`` the frozenset of attribute names whose change
+    can alter a node's contribution.  The payload is one read-only dict
+    per flood: every node forwards the object it received.
 
 ``SUB_DELTA`` (child -> DHT parent, replacement subtree partial):
     ``sub_id``, ``pred_key``, ``partial`` the child's whole recomputed
     subtree partial (state-based replacement, not an invertible
     increment -- correct for MIN/MAX/TOP-K), ``contributors``, plus the
-    full install schema (``query``/``cover``/``lease``/``frontend``),
+    full install schema (``query``/``predicate``/``cover``/``lease``/
+    ``frontend`` and the per-flood ``tree_key``/``attrs``),
     and ``rerooted: True`` when the push is not a routine change -- the
     sender's parent changed, or it was itself just installed from such a
     delta.  A parent that does not hold the subscription installs from
     a re-rooting delta (post-churn re-rooting: it never saw the install)
     and keeps propagating; a routine one it drops (sent before a cancel
-    reached the sender).
+    reached the sender).  A node whose subtree is empty, that has never
+    pushed, and that still sits under the parent it was installed under
+    sends none: a parent holding no entry for a child counts it empty.
 
 ``STANDING_UPDATE`` (tree root -> front-end):
     ``sub_id``, ``pred_key``, ``partial``, ``contributors``, ``seq`` the
@@ -117,8 +126,9 @@ never drained by ``pop_tag`` would otherwise grow without bound).
     down cancels it again instead of dropping the update as late).
 
 ``SUB_CANCEL`` (front-end -> root, fanned down like the install):
-    ``sub_id``, ``predicate`` -- removes the subscription state at every
-    node of that cover tree.
+    ``sub_id``, ``predicate``, and its ``pred_key`` / ``tree_key``
+    (resolved by the sender, like the install's) -- removes the
+    subscription state at every node of that cover tree.
 
 ``SUB_RENEW`` (front-end -> root): ``sub_id``, ``predicate``,
     ``lease`` -- extends the root's lease without reinstalling.

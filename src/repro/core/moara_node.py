@@ -1120,8 +1120,9 @@ class MoaraNode:
     # ------------------------------------------------------------------
 
     def on_membership_change(self, joined: set[int], left: set[int]) -> None:
-        """React to overlay churn: resolve queries stuck on departed nodes
-        and re-announce state to new parents.
+        """React to overlay churn: resolve queries stuck on departed nodes,
+        drop the reports of nodes that stopped being our children, and
+        re-announce state to new parents.
 
         Any overlay membership change also invalidates the entire root
         result cache: a join or leave can re-root trees and move whole
@@ -1151,8 +1152,18 @@ class MoaraNode:
         if self.node_id not in self.overlay:
             return  # we ourselves left; nothing further to maintain
         for state in list(self.states.values()):
-            if left and state.forget_children(left & set(state.children)):
-                self._recompute(state)
+            # A report describes a subtree hanging off us: once its sender
+            # is not our child any more (it left, or churn re-parented it)
+            # it describes nothing, and a kept PRUNE would be trusted again
+            # when the child moves back in NO-UPDATE, announcing nothing.
+            # A child we gained has not reported, so a pruned subtree has
+            # to open up for it: recompute either way (it returns early
+            # while the updateSet stands).
+            children = self._dht_children(state)
+            state.forget_children(
+                {child for child in state.children if child not in children}
+            )
+            self._recompute(state)
             new_parent = self._dht_parent(state)
             if new_parent != state.known_parent:
                 state.known_parent = new_parent

@@ -12,8 +12,15 @@ whenever its subtree's contribution changes:
 * pushes are suppressed when the recomputed partial equals the last one
   pushed (the :mod:`repro.sdims.continuous` suppression rule), so
   steady state costs zero messages;
+* a subtree with nothing to say says nothing: a node that has never
+  pushed, still sits under the parent it was installed under, and whose
+  subtree partial is empty stays silent -- the parent holding no entry
+  for a child already means "empty".  A cold install therefore costs one
+  ``SUB_INSTALL`` per node plus one ``SUB_DELTA`` per hop from each
+  contributor to the root, not one per node;
 * the subscription walks the **raw DHT tree** for the group attribute
-  (``overlay.parent``/``overlay.children``), deliberately bypassing the
+  (``overlay.tree``, memoised per tree and membership version in
+  :meth:`StandingAgent._place`), deliberately bypassing the
   PRUNE state of :mod:`repro.core.tree_state`: every churn event in the
   subtree is visible by construction.
 
@@ -30,7 +37,15 @@ Leases are enforced **lazily** at the root: the simulation kernel's
 schedules recurring timers.  :meth:`StandingAgent.expire_stale` runs on
 every standing message receipt (and is exposed for drivers); an expired
 subscription sends the front-end a final ``expired`` update and fans a
-cancel down its tree.
+cancel down its tree.  The agent tracks a lower bound on the earliest
+deadline armed here, so the check is one comparison unless a lease held
+at this node is due.
+
+The per-flood constants of a subscription -- its canonical group key,
+its tree key, the attribute names it depends on -- are resolved once
+where the flood starts (:func:`install_payload`, :func:`cancel_payload`)
+and ride the one shared, read-only payload down the tree; no node
+re-derives them.
 
 Every payload keys the subscription id as ``sub_id`` -- never ``qid`` --
 so the network's per-query tag accounting ignores this long-lived
@@ -46,13 +61,67 @@ from repro.core import messages as mt
 from repro.baselines.centralized import local_answer
 from repro.core.moara_node import group_attribute
 from repro.core.predicates import Predicate
-from repro.core.query import Query
+from repro.core.query import STAR_ATTRIBUTE, Query
+from repro.pastry.idspace import IdSpace
 from repro.sim.network import Message
 
 if TYPE_CHECKING:
     from repro.core.moara_node import MoaraNode
 
-__all__ = ["StandingAgent"]
+__all__ = ["StandingAgent", "cancel_payload", "install_payload"]
+
+#: a subtree with no contributor: what a parent assumes of a child it
+#: holds no entry for, and what a never-pushed node need not say.
+_EMPTY: tuple[Any, int] = (None, 0)
+
+#: "no lease deadline armed at this node".
+_NEVER = float("inf")
+
+
+def install_payload(
+    sub_id: str,
+    query: Query,
+    predicate: Predicate,
+    cover: tuple[Predicate, ...],
+    lease: float,
+    frontend: int,
+    space: IdSpace,
+) -> dict[str, Any]:
+    """The SUB_INSTALL schema, resolved once where a flood starts.
+
+    ``pred_key``, ``tree_key`` and ``attrs`` are the same at every node
+    of the tree, so the front-end derives them here and every node reads
+    them off the one shared payload it also forwards, unchanged, to its
+    children."""
+    attrs = set(query.predicate.attributes())
+    if query.attr != STAR_ATTRIBUTE:
+        attrs.add(query.attr)
+    for group in cover:
+        attrs |= group.attributes()
+    return {
+        "sub_id": sub_id,
+        "query": query,
+        "predicate": predicate,
+        "pred_key": predicate.canonical(),
+        "tree_key": space.hash_name(group_attribute(predicate)),
+        "cover": cover,
+        "attrs": frozenset(attrs),
+        "lease": lease,
+        "frontend": frontend,
+    }
+
+
+def cancel_payload(
+    sub_id: str, predicate: Predicate, space: IdSpace
+) -> dict[str, Any]:
+    """The SUB_CANCEL schema, with the same per-flood keys as the install
+    so no node of the tree re-derives them."""
+    return {
+        "sub_id": sub_id,
+        "predicate": predicate,
+        "pred_key": predicate.canonical(),
+        "tree_key": space.hash_name(group_attribute(predicate)),
+    }
 
 
 @dataclass(slots=True)
@@ -70,7 +139,8 @@ class _Subscription:
     frontend: int
     #: attribute names whose change can alter our contribution.
     attrs: frozenset[str]
-    #: child node id -> (partial, contributors) it last pushed to us.
+    #: child node id -> (partial, contributors) it last pushed to us; a
+    #: child without an entry has an empty subtree.
     child_partials: dict[int, tuple[Any, int]] = field(default_factory=dict)
     #: last (partial, contributors) pushed up (suppression state).
     last_pushed: Optional[tuple[Any, int]] = None
@@ -83,13 +153,17 @@ class _Subscription:
 
 
 def _install_payload(sub: _Subscription) -> dict[str, Any]:
-    """The SUB_INSTALL schema for ``sub`` (also piggybacked on deltas so
-    a parent that never saw the install can install itself lazily)."""
+    """:func:`install_payload` rebuilt from an installed subscription, for
+    a delta to carry: a parent that never saw the install can install
+    itself lazily from it."""
     return {
         "sub_id": sub.sub_id,
         "query": sub.query,
         "predicate": sub.predicate,
+        "pred_key": sub.pred_key,
+        "tree_key": sub.tree_key,
         "cover": sub.cover,
+        "attrs": sub.attrs,
         "lease": sub.lease,
         "frontend": sub.frontend,
     }
@@ -100,8 +174,16 @@ class StandingAgent:
 
     def __init__(self, node: "MoaraNode") -> None:
         self._node = node
+        #: the overlay's id index (stable identity; only ``.version``
+        #: changes): gates the memo below.
+        self._index = node.overlay.index
+        #: tree key -> our place in that tree (see :meth:`_place`).
+        self._places: dict[int, tuple[int, Optional[int], Sequence[int]]] = {}
         #: (sub_id, pred_key) -> subscription state.
         self._subs: dict[tuple[str, str], _Subscription] = {}
+        #: a lower bound on the earliest ``expires_at`` armed here:
+        #: :meth:`expire_stale` scans only once the clock reaches it.
+        self._next_expiry = _NEVER
 
     # ------------------------------------------------------------------
     # introspection (leak invariant)
@@ -118,27 +200,42 @@ class StandingAgent:
     # tree navigation (raw DHT tree -- no prune state)
     # ------------------------------------------------------------------
 
+    def _place(self, tree_key: int) -> tuple[int, Optional[int], Sequence[int]]:
+        """``(membership version, parent, children)`` of this node in the
+        tree for ``tree_key``, read from the overlay once per membership
+        version and shared by every subscription on that tree -- a fresh
+        subscription on a known tree costs a dict hit, not a lookup."""
+        place = self._places.get(tree_key)
+        version = self._index.version
+        if place is None or place[0] != version:
+            overlay = self._node.overlay
+            node_id = self._node.node_id
+            if node_id in overlay:
+                tree = overlay.tree(tree_key)
+                place = (version, tree.parent_of(node_id), tree.children_of(node_id))
+            else:
+                place = (version, None, ())
+            self._places[tree_key] = place
+        return place
+
     def _children(self, sub: _Subscription) -> Sequence[int]:
-        overlay = self._node.overlay
-        if self._node.node_id not in overlay:
-            return ()
-        return overlay.children(self._node.node_id, sub.tree_key)
+        """Our children in the subscription's tree, sorted; read-only."""
+        return self._place(sub.tree_key)[2]
 
     def _parent(self, sub: _Subscription) -> Optional[int]:
-        overlay = self._node.overlay
-        if self._node.node_id not in overlay:
-            return None
-        return overlay.parent(self._node.node_id, sub.tree_key)
+        return self._place(sub.tree_key)[1]
 
     # ------------------------------------------------------------------
     # message handlers (wired into MoaraNode's dispatch table)
     # ------------------------------------------------------------------
 
     def handle_install(self, message: Message) -> None:
-        sub = self._install(message.payload)
+        payload = message.payload
+        sub = self._install(payload)
         # Idempotent fan-down: reach children that joined since the last
         # sweep (the front-end re-installs on every membership change).
-        self._fan_down(sub, mt.SUB_INSTALL, _install_payload(sub))
+        # The flood's one payload goes down as it came.
+        self._fan_down(sub, mt.SUB_INSTALL, payload)
         self._push(sub)
         self.expire_stale(self._node.network.engine.now)
 
@@ -174,27 +271,15 @@ class StandingAgent:
 
     def handle_cancel(self, message: Message) -> None:
         payload = message.payload
-        sub_id = payload["sub_id"]
-        key = (sub_id, payload["predicate"].canonical())
-        sub = self._subs.pop(key, None)
+        self._subs.pop((payload["sub_id"], payload["pred_key"]), None)
         # Fan down unconditionally: teardown must reach descendants that
         # still hold state even if our own entry drifted away (each node
         # receives one cancel from its parent; the tree is finite and
         # acyclic, so the fan terminates).
-        overlay = self._node.overlay
-        if self._node.node_id in overlay:
-            tree_key = (
-                sub.tree_key
-                if sub is not None
-                else overlay.space.hash_name(
-                    group_attribute(payload["predicate"])
-                )
-            )
-            children = overlay.children(self._node.node_id, tree_key)
-            if children:
-                self._node.network.send_many(
-                    self._node.node_id, sorted(children), mt.SUB_CANCEL, payload
-                )
+        children = self._place(payload["tree_key"])[2]
+        if children:
+            node = self._node
+            node.network.send_many(node.node_id, children, mt.SUB_CANCEL, payload)
 
     def handle_renew(self, message: Message) -> None:
         payload = message.payload
@@ -204,7 +289,7 @@ class StandingAgent:
         if sub is not None:
             sub.lease = payload["lease"]
             if sub.lease > 0 and self._parent(sub) is None:
-                sub.expires_at = now + sub.lease
+                self._arm(sub, now + sub.lease)
         self.expire_stale(now)
 
     # ------------------------------------------------------------------
@@ -232,7 +317,7 @@ class StandingAgent:
             return
         now = self._node.network.engine.now
         for sub in list(self._subs.values()):
-            children = set(self._children(sub))
+            children = self._children(sub)
             for child in [
                 c for c in sub.child_partials if c not in children
             ]:
@@ -242,7 +327,7 @@ class StandingAgent:
                 if parent is None and sub.lease > 0 and sub.expires_at == 0.0:
                     # We just became this tree's root: start the lease
                     # clock (the old root's deadline died with it).
-                    sub.expires_at = now + sub.lease
+                    self._arm(sub, now + sub.lease)
                 self._push(sub, force=True)
             else:
                 self._push(sub)
@@ -252,17 +337,32 @@ class StandingAgent:
     # lease enforcement (lazy -- no engine timers)
     # ------------------------------------------------------------------
 
+    def _arm(self, sub: _Subscription, deadline: float) -> None:
+        """Set the root-side lease deadline (every ``expires_at``
+        assignment goes through here, so ``_next_expiry`` never
+        overshoots a live deadline)."""
+        sub.expires_at = deadline
+        if deadline < self._next_expiry:
+            self._next_expiry = deadline
+
     def expire_stale(self, now: float) -> None:
         """Drop root-side subscriptions whose lease ran out.
 
         The front-end gets a final ``expired`` STANDING_UPDATE and the
         subtree a cancel fan-down.  Called on every standing message
         receipt and exposed for drivers; never scheduled (the simulation
-        kernel's ``run_until_idle`` must terminate).
+        kernel's ``run_until_idle`` must terminate).  One comparison
+        unless a deadline armed here has been reached.
         """
+        if now < self._next_expiry:
+            return
         node = self._node
+        next_expiry = _NEVER
         for key, sub in list(self._subs.items()):
-            if sub.expires_at <= 0.0 or sub.expires_at > now:
+            if sub.expires_at <= 0.0:
+                continue
+            if sub.expires_at > now:
+                next_expiry = min(next_expiry, sub.expires_at)
                 continue
             if self._parent(sub) is not None:
                 sub.expires_at = 0.0  # no longer the root: not our call
@@ -288,49 +388,39 @@ class StandingAgent:
             self._fan_down(
                 sub,
                 mt.SUB_CANCEL,
-                {"sub_id": sub.sub_id, "predicate": sub.predicate},
+                cancel_payload(sub.sub_id, sub.predicate, node.overlay.space),
             )
+        self._next_expiry = next_expiry
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
     def _install(self, payload: dict[str, Any]) -> _Subscription:
-        predicate: Predicate = payload["predicate"]
-        pred_key = predicate.canonical()
-        key = (payload["sub_id"], pred_key)
+        key = (payload["sub_id"], payload["pred_key"])
         sub = self._subs.get(key)
-        now = self._node.network.engine.now
         if sub is None:
-            query: Query = payload["query"]
-            attrs = set(query.predicate.attributes())
-            if query.attr != "*":
-                attrs.add(query.attr)
-            for group in payload["cover"]:
-                attrs |= group.attributes()
-            sub = _Subscription(
+            sub = self._subs[key] = _Subscription(
                 sub_id=payload["sub_id"],
-                pred_key=pred_key,
-                predicate=predicate,
-                tree_key=self._node.overlay.space.hash_name(
-                    group_attribute(predicate)
-                ),
-                query=query,
-                cover=tuple(payload["cover"]),
+                pred_key=payload["pred_key"],
+                predicate=payload["predicate"],
+                tree_key=payload["tree_key"],
+                query=payload["query"],
+                cover=payload["cover"],
                 lease=payload["lease"],
                 frontend=payload["frontend"],
-                attrs=frozenset(attrs),
+                attrs=payload["attrs"],
             )
-            self._subs[key] = sub
         else:
             # Refresh (re-install sweep / lease change): covers and
             # leases may move; the subtree state is kept.
-            sub.cover = tuple(payload["cover"])
+            sub.cover = payload["cover"]
+            sub.attrs = payload["attrs"]
             sub.lease = payload["lease"]
             sub.frontend = payload["frontend"]
         sub.known_parent = self._parent(sub)
         if sub.known_parent is None and sub.lease > 0:
-            sub.expires_at = now + sub.lease
+            self._arm(sub, self._node.network.engine.now + sub.lease)
         return sub
 
     def _fan_down(
@@ -339,7 +429,7 @@ class StandingAgent:
         children = self._children(sub)
         if children:
             self._node.network.send_many(
-                self._node.node_id, sorted(children), mtype, payload
+                self._node.node_id, children, mtype, payload
             )
 
     def _local_contribution(self, sub: _Subscription) -> tuple[Any, int]:
@@ -379,16 +469,21 @@ class StandingAgent:
 
     def _push(self, sub: _Subscription, force: bool = False) -> None:
         """Recompute the subtree partial and push it toward the root
-        (suppressed when unchanged, exactly like sdims continuous)."""
+        (suppressed when unchanged, exactly like sdims continuous).
+
+        A first report of an empty subtree to the parent we were
+        installed under is suppressed too: no entry at the parent reads
+        as empty.  The root's first update, a re-rooting push and an
+        emptying after something was pushed all still leave."""
         current = self._subtree(sub)
         parent = self._parent(sub)
         rerooted = force or parent != sub.known_parent
-        if (
-            not rerooted
-            and sub.last_pushed is not None
-            and sub.last_pushed == current
-        ):
-            return
+        if not rerooted:
+            if sub.last_pushed is None:
+                if parent is not None and current == _EMPTY:
+                    return
+            elif sub.last_pushed == current:
+                return
         sub.last_pushed = current
         sub.known_parent = parent
         node = self._node
@@ -412,7 +507,6 @@ class StandingAgent:
             mtype, dst = mt.STANDING_UPDATE, sub.frontend
         else:
             payload = _install_payload(sub)
-            payload["pred_key"] = sub.pred_key
             payload["partial"] = partial
             payload["contributors"] = contributors
             mtype, dst = mt.SUB_DELTA, parent

@@ -47,6 +47,7 @@ from repro.core.parser import parse_query
 from repro.core.predicates import Predicate, TruePredicate
 from repro.core.query import Query, QueryResult
 from repro.sim.network import Message
+from repro.standing.agent import cancel_payload, install_payload
 
 __all__ = ["StandingHandle", "StandingQueryManager"]
 
@@ -372,18 +373,20 @@ class StandingQueryManager:
         lease: float,
         root: int,
     ) -> None:
-        self._frontend.network.send(
-            self._frontend.node_id,
+        frontend = self._frontend
+        frontend.network.send(
+            frontend.node_id,
             root,
             mt.SUB_INSTALL,
-            {
-                "sub_id": sub_id,
-                "query": self._subs[sub_id].handle.query,
-                "predicate": group,
-                "cover": cover,
-                "lease": lease,
-                "frontend": self._frontend.node_id,
-            },
+            install_payload(
+                sub_id,
+                self._subs[sub_id].handle.query,
+                group,
+                cover,
+                lease,
+                frontend.node_id,
+                frontend.overlay.space,
+            ),
         )
 
     def _remember_torn_down(self, sub_id: str) -> None:
@@ -392,11 +395,13 @@ class StandingQueryManager:
             del self._torn_down[next(iter(self._torn_down))]
 
     def _send_cancel(self, sub_id: str, group: Predicate) -> None:
-        self._frontend.network.send(
-            self._frontend.node_id,
-            self._root_for(group),
+        frontend = self._frontend
+        payload = cancel_payload(sub_id, group, frontend.overlay.space)
+        frontend.network.send(
+            frontend.node_id,
+            frontend.overlay.root(payload["tree_key"]),
             mt.SUB_CANCEL,
-            {"sub_id": sub_id, "predicate": group},
+            payload,
         )
 
     def _cached_costs(self, plan: Any, now: float) -> dict[str, float]:

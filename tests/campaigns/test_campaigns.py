@@ -266,6 +266,18 @@ def test_standing_campaign_on_both_planes() -> None:
             assert "standing_active" in phase
 
 
+def test_overlay_churn_campaign_on_both_planes() -> None:
+    """Joins and leaves interleaved with membership waves: 11 differential
+    violations before ``MoaraNode.on_membership_change`` dropped the
+    reports of re-parented children and re-derived on a gained child."""
+    spec = load_campaign(REPO / "campaigns" / "overlay_churn.yaml")
+    for plane in ("sim", "loopback"):
+        report = run_campaign(spec, plane=plane)
+        assert report["ok"], (plane, report["invariants"])
+        assert report["invariants"]["sampled"] > 150
+        assert report["invariants"]["standing_checked"] > 0
+
+
 def test_campaign_catches_corrupted_standing_folds(monkeypatch) -> None:
     """Mutation: a front-end that folds deltas into the wrong value must
     trip the ``standing`` invariant at the next quiesced checkpoint."""

@@ -147,6 +147,7 @@ def test_every_shipped_campaign_validates() -> None:
         "diurnal_load",
         "flash_crowd",
         "memory_pressure",
+        "overlay_churn",
         "smoke",
         "standing_social",
         "write_heavy_churn",

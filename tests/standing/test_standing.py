@@ -374,3 +374,224 @@ def test_standing_messages_stay_untagged(cluster) -> None:
     assert not cluster.stats.per_query, "standing traffic must be untagged"
     frontend.standing.cancel(handle)
     cluster.run_until_idle()
+
+
+# ----------------------------------------------------------------------
+# silent empty subtrees, the lease-deadline tracker, per-flood keys
+# ----------------------------------------------------------------------
+
+EMPTY = (None, 0)
+
+
+#: the ten ``svc`` members of :func:`_svc_cluster`, as a slice of node ids.
+SVC = slice(5, 15)
+
+
+def _svc_cluster() -> MoaraCluster:
+    cluster = MoaraCluster(200, seed=6)
+    cluster.set_group("svc", cluster.node_ids[SVC])
+    cluster.run_until_idle()
+    return cluster
+
+
+def _tree(cluster: MoaraCluster, attr: str):
+    return cluster.overlay.tree(cluster.overlay.space.hash_name(attr))
+
+
+def _subs(cluster: MoaraCluster, handle) -> dict:
+    """node id -> that node's (single-cover) subscription state."""
+    return {
+        node_id: sub
+        for node_id, node in cluster.nodes.items()
+        for (sub_id, _), sub in node.standing._subs.items()
+        if sub_id == handle.sub_id
+    }
+
+
+def _lease_tracker_holds(cluster: MoaraCluster) -> bool:
+    """No armed deadline at any node is earlier than its agent's tracker."""
+    return all(
+        node.standing._next_expiry <= sub.expires_at
+        for node in cluster.nodes.values()
+        for sub in node.standing._subs.values()
+        if sub.expires_at > 0
+    )
+
+
+def test_cold_subscribe_costs_one_install_per_node_and_deltas_only_from_contributors():
+    cluster = _svc_cluster()
+    tree = _tree(cluster, "svc")
+    members = cluster.node_ids[SVC]
+    cluster.stats.reset()
+    handle = cluster.frontends[0].subscribe("SELECT COUNT(*) WHERE svc = true")
+    cluster.run_until_idle()
+    assert handle.current_value() == 10
+    by_type = cluster.stats.by_type
+    assert by_type[mt.SUB_INSTALL] == len(cluster)
+    # Installs outrun the replies, so each member's appearance travels as
+    # its own delta along its path to the root -- and nothing else does.
+    assert by_type[mt.SUB_DELTA] == sum(tree.depth_of(m) for m in members) == 20
+    assert by_type[mt.STANDING_UPDATE] == 1 + len(members)
+    subs = _subs(cluster, handle)
+    assert len(subs) == len(cluster)
+    assert all(EMPTY not in sub.child_partials.values() for sub in subs.values())
+    silent = [n for n, sub in subs.items() if sub.last_pushed is None]
+    assert len(silent) == len(cluster) - len(
+        {a for m in members for a in tree.path_to_root(m)}
+    )
+
+
+def test_silent_non_member_pushes_when_it_joins_the_group():
+    cluster = _svc_cluster()
+    handle = cluster.frontends[0].subscribe("SELECT COUNT(*) WHERE svc = true")
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    joiner = max(
+        (n for n, sub in subs.items() if sub.last_pushed is None),
+        key=tree.depth_of,
+    )
+    cluster.stats.reset()
+    cluster.set_attribute(joiner, "svc", True)
+    cluster.run_until_idle()
+    assert subs[joiner].last_pushed == (1, 1)
+    assert cluster.stats.by_type[mt.SUB_DELTA] == tree.depth_of(joiner) >= 2
+    assert handle.current_value() == 11
+    _assert_matches(cluster, handle)
+
+
+def test_member_leaving_pushes_its_emptied_subtree():
+    cluster = _svc_cluster()
+    handle = cluster.frontends[0].subscribe("SELECT COUNT(*) WHERE svc = true")
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    leaver = next(
+        m
+        for m in cluster.node_ids[SVC]
+        if not tree.children_of(m) and tree.depth_of(m) >= 1
+    )
+    assert subs[leaver].last_pushed == (1, 1)
+    cluster.stats.reset()
+    cluster.set_attribute(leaver, "svc", False)
+    cluster.run_until_idle()
+    assert subs[leaver].last_pushed == EMPTY
+    assert subs[tree.parent_of(leaver)].child_partials[leaver] == EMPTY
+    assert cluster.stats.by_type[mt.SUB_DELTA] == tree.depth_of(leaver)
+    _assert_matches(cluster, handle)
+
+
+def test_forced_push_of_an_empty_partial_still_installs_the_parent():
+    cluster = _svc_cluster()
+    handle = cluster.frontends[0].subscribe("SELECT COUNT(*) WHERE svc = true")
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    child = next(
+        n
+        for n, sub in subs.items()
+        if tree.depth_of(n) >= 2 and subs[tree.parent_of(n)].last_pushed is None
+    )
+    parent = tree.parent_of(child)
+    # The parent loses the subscription (as a node that just took the
+    # child over would not have it yet); the child re-roots onto it.
+    agent = cluster.nodes[parent].standing
+    (key,) = agent._subs
+    del agent._subs[key]
+    cluster.stats.reset()
+    cluster.nodes[child].standing._push(subs[child], force=True)
+    cluster.run_until_idle()
+    assert agent._subs[key].child_partials == {child: EMPTY}
+    assert agent._subs[key].attrs == subs[child].attrs
+    # ... and the parent, installed from below, reports upward in turn.
+    assert cluster.stats.by_type[mt.SUB_DELTA] == 2
+    assert subs[tree.parent_of(parent)].child_partials[parent] == EMPTY
+    _assert_matches(cluster, handle)
+
+
+def test_replan_switches_to_an_empty_group_on_its_roots_first_update(cluster):
+    """Make-before-break waits for every new group's first update; the root
+    of a group nobody is in must still send it."""
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe("SELECT COUNT(*) WHERE dc = 'east' AND load > 100")
+    cluster.run_until_idle()
+    sub = frontend.standing._subs[handle.sub_id]
+    (old,) = handle.cover
+    (new,) = {g.canonical() for g in sub.plan.all_groups()} - {old}
+    assert "load" in new, "the empty group must be the one switched to"
+    now = cluster.now
+    frontend.size_cache.put(old, 1000.0, now)
+    frontend.size_cache.put(new, 2.0, now)
+    frontend.standing._maybe_replan(sub, now)
+    assert list(sub.pending) == [new] and handle.cover == [old]
+    cluster.run_until_idle()
+    assert not sub.pending and handle.cover == [new]
+    assert handle.current_value() == 0
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+
+
+def _touch(cluster: MoaraCluster, value: float) -> None:
+    """One attribute write whose delta reaches the subscription's root."""
+    cluster.set_attribute(cluster.node_ids[1], "load", value)
+    cluster.run_until_idle()
+
+
+def test_lease_fires_on_the_first_standing_message_past_the_deadline(cluster):
+    frontend = cluster.frontends[0]
+    short = frontend.subscribe("SELECT SUM(load) WHERE dc = 'west'", lease=5.0)
+    long = frontend.subscribe("SELECT MAX(load) WHERE dc = 'west'", lease=50.0)
+    cluster.run_until_idle()
+    root = cluster.nodes[_tree(cluster, "dc").root]
+    assert root.standing._next_expiry == 5.0
+    cluster.run(4.5)
+    _touch(cluster, 20.0)  # a receipt before the deadline: nothing expires
+    assert short.active and long.active
+    cluster.run(1.0)
+    assert short.active, "lazy: nothing happens until a message arrives"
+    _touch(cluster, 21.0)
+    assert short.expired and long.active
+    assert root.standing._next_expiry == 50.0
+    assert _lease_tracker_holds(cluster)
+    _assert_matches(cluster, long)
+    cluster.run(50.0)
+    _touch(cluster, 22.0)
+    assert long.expired
+    assert root.standing._next_expiry == float("inf")
+    assert _node_leaks(cluster) == {}
+
+
+def test_renewing_to_a_shorter_lease_moves_the_deadline_tracker_down(cluster):
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe("SELECT SUM(load) WHERE dc = 'west'", lease=50.0)
+    cluster.run_until_idle()
+    frontend.standing.renew(handle, lease=2.0)
+    cluster.run_until_idle()
+    assert cluster.nodes[_tree(cluster, "dc").root].standing._next_expiry == 2.0
+    assert _lease_tracker_holds(cluster)
+    cluster.run(3.0)
+    _touch(cluster, 20.0)
+    assert handle.expired and _node_leaks(cluster) == {}
+
+
+def test_lease_is_enforced_by_the_root_that_took_over(cluster):
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe("SELECT SUM(load) WHERE dc = 'west'", lease=5.0)
+    cluster.run_until_idle()
+    old_root = _tree(cluster, "dc").root
+    assert old_root != frontend.node_id
+    cluster.run(3.0)
+    cluster.leave_node(old_root)
+    cluster.run_until_idle()
+    new_root = cluster.nodes[_tree(cluster, "dc").root]
+    # The clock restarted where the new root armed it (3.0 + 5.0).
+    assert new_root.standing._next_expiry == 8.0
+    assert _lease_tracker_holds(cluster)
+    cluster.run(4.0)  # t = 7: past the old deadline, inside the new one
+    _touch(cluster, 20.0)
+    assert handle.active
+    _assert_matches(cluster, handle)
+    cluster.run(2.0)  # t = 9
+    _touch(cluster, 21.0)
+    assert handle.expired and _node_leaks(cluster) == {}

@@ -122,14 +122,17 @@ def _stub_benchmarks(
     campaign_violations=0,
     chaos_violations=0,
     standing_mismatches=0,
+    msgs_per_member_100k=0.171,
 ) -> None:
     """Replace the minutes-long benchmark functions with instant stubs."""
     rows = {
         "_time_fig17": {"wall_s": 1.0, "cached_msgs_per_query": 9.0},
         "_time_scale": {"wall_s": 2.0, "nodes": 1, "queries": 1,
-                        "msgs_per_query": 1.0, "events_per_s": 1000.0},
+                        "msgs_per_query": 1.0, "msgs_per_member": 0.178,
+                        "events_per_s": 1000.0},
         "_time_scale_100k": {"wall_s": 2.5, "nodes": 2, "queries": 1,
                              "msgs_per_query": 1.0,
+                             "msgs_per_member": msgs_per_member_100k,
                              "events_per_s": 900.0},
         "_time_shard_scaleout": {"wall_s": 3.0, "scaleout_x": 4.0},
         "_time_campaign": {
@@ -154,6 +157,8 @@ def _stub_benchmarks(
             "ratio": 0.03,
             "mismatches": standing_mismatches,
             "updates": 12,
+            "install_msgs": 600,
+            "install_deltas": 88,
         },
     }
     for name, row in rows.items():
@@ -227,6 +232,19 @@ def test_main_fails_hard_on_standing_mismatches(
     assert guarded_main.main() == 1
     out = capsys.readouterr().out
     assert "::error title=standing differential::" in out
+
+
+def test_main_fails_hard_when_cost_per_group_member_grows_with_scale(
+    guarded_main, monkeypatch, capsys
+) -> None:
+    # Both scale rows size their groups at N / 40; messages per query per
+    # member is what has to stay put between them (0.178 at 10k).
+    _stub_benchmarks(guarded_main, monkeypatch, msgs_per_member_100k=0.204)
+    guarded_main.BENCH_FILE.write_text(json.dumps(VALID))
+    assert guarded_main.main() == 0
+    _stub_benchmarks(guarded_main, monkeypatch, msgs_per_member_100k=0.206)
+    assert guarded_main.main() == 1
+    assert "::error title=scale cost::" in capsys.readouterr().out
 
 
 def test_main_warns_on_wall_clock_regression_but_passes(
