@@ -2,8 +2,8 @@
 """Deploy smoke: boot the socket fleet, hit it over HTTP, scrape stats.
 
 CI's deploy-smoke job runs this on every push: it boots the full
-deployed topology (overlay service, cache service, N HTTP front-ends —
-real localhost sockets, one thread + event loop per role via
+deployed topology (overlay service, cache service, N HTTP front-ends in
+processes of their own — real localhost sockets, via
 ``repro.serve.fleet``), fires a canned query burst over HTTP/JSON,
 checks every answer against a same-seed *simulated* plane, and writes
 one JSON report (query results, per-front-end ``/stats`` and
@@ -11,8 +11,9 @@ one JSON report (query results, per-front-end ``/stats`` and
 totals) that the job uploads as an artifact.
 
 Exit status is the point: 0 only if the fleet booted, every query
-returned 200 with the simulator's exact answer, and every front-end is
-healthy.  Usage::
+returned 200 with the simulator's exact answer, every front-end is
+healthy in a process that is not this one, and none survives ``close``.
+Usage::
 
     PYTHONPATH=src python scripts/deploy_smoke.py [--out deploy_smoke.json]
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,9 +147,17 @@ def main(argv: list[str]) -> int:
             )
             if health_status != 200:
                 failures.append(f"shard {shard} unhealthy: {health}")
+            if health.get("pid") in (None, os.getpid()):
+                failures.append(f"shard {shard} is not a process: {health}")
         report["cluster_messages"] = fleet.admin("stats")["stats"]
     finally:
         fleet.close()
+    for pid in fleet.pids:
+        try:
+            os.kill(pid, 0)  # a reaped child is gone, a zombie is not
+            failures.append(f"front-end pid {pid} survived close()")
+        except ProcessLookupError:
+            pass
 
     report["expected"] = {k: v for k, v in expected.items()}
     report["ok"] = not failures

@@ -25,8 +25,7 @@ boundary).  The fleet has four process roles:
 
 ``python -m repro.serve <role>`` launches each role
 (:mod:`repro.serve.__main__`); :mod:`repro.serve.fleet` boots the whole
-fleet inside one process (one thread + event loop per role) for tests
-and the CI deploy-smoke job, and
+fleet from one call (a forked process per front-end) for tests and CI;
 :class:`repro.serve.transport.LocalLoopback` runs a deployed-shape
 front-end with no sockets at all.
 """

@@ -129,7 +129,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fe.add_argument("--name", default=_env("name"))
     p_fe.add_argument("--query-timeout", type=float, default=10.0)
 
-    p_fleet = sub.add_parser("fleet", help="whole fleet in one process")
+    p_fleet = sub.add_parser("fleet", help="whole fleet from one command")
     _add_common(p_fleet)
     _add_backend(p_fleet)
     p_fleet.add_argument("--frontends", type=int, default=2)

@@ -1,22 +1,26 @@
-"""Run the whole deployed query plane inside one process.
+"""Run the whole deployed query plane from one call.
 
 Production runs one process per role (``python -m repro.serve <role>``);
-tests and the CI deploy-smoke job want the same fleet without process
-management.  :class:`Fleet` boots every component in this process, **one
-thread + one event loop per component** — which is not just convenience:
-the front-end's shared-cache calls are synchronous blocking RPCs, so a
-front-end and the cache service sharing one event loop would deadlock
-(the front-end blocks the loop awaiting a reply the loop would have to
-produce).  Real sockets on localhost, real frames, real HTTP — the only
-thing removed is ``fork()``.
+tests, the ledger and the CI deploy-smoke job want the same fleet
+without an orchestrator.  :class:`Fleet` hosts the overlay service (the
+caller's cluster), cache service and ring daemon in the calling process,
+**one thread + one event loop each**, and each front-end — the same
+:class:`FrontendServer` — in **an OS process of its own**: callers of
+different front-ends share no interpreter lock, and a front-end can
+really crash.  Real localhost sockets, real frames, real HTTP.
+
+``start`` forks the front-ends *first*, while the caller is still
+single-threaded (so start a fleet before spawning threads of your own),
+and re-raises a child's start-up failure after tearing down whatever had
+started.  EOF on a child's pipe (``close``, or the host dying in any
+way) ends the child.
 
 Typical use::
 
     cluster = MoaraCluster(num_nodes=64, num_frontends=0, seed=7)
     cluster.set_group("g", range(20))
     with Fleet(cluster, num_frontends=2) as fleet:
-        reply = fleet.http_query(0, "SELECT COUNT(*) WHERE g = true")
-        assert reply["value"] == 20
+        fleet.http_query(0, "SELECT COUNT(*) WHERE g = true")["value"]  # 20
 
 The backend cluster is built (and its groups/attributes set) in the
 caller's thread *before* ``start``; afterwards it belongs to the overlay
@@ -27,10 +31,16 @@ service's loop and must only be touched through admin ops
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
+import os
+import pickle
+import signal
+import socket
+import sys
 import threading
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from repro.core.cluster import MoaraCluster
 from repro.core.frontend import FrontendConfig, ProbePolicy
@@ -70,8 +80,80 @@ class ServiceThread:
             self.loop.close()
 
 
+class _FrontendProcess:
+    """A forked front-end: its pid and the host's end of its pipe."""
+
+    def __init__(self, **server_kwargs: Any) -> None:
+        self.pipe, child_end = socket.socketpair()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _frontend_main(child_end, server_kwargs)
+        child_end.close()
+
+    def start(self, **addrs: Any) -> int:
+        """Tell the child the service addresses; returns its HTTP port."""
+        self.pipe.settimeout(30.0)
+        self.pipe.sendall(pickle.dumps(addrs))
+        with self.pipe.makefile("rb") as replies:
+            reply = pickle.load(replies)  # EOFError: the child is gone
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def stop(self, grace: float = 5.0) -> None:
+        """End the child and reap it.  EOF on the pipe asks it to close;
+        SIGKILL follows after ``grace`` seconds (0: a crash, don't ask)."""
+        if self.pipe.fileno() < 0:
+            return  # already reaped
+        try:
+            if grace:
+                self.pipe.shutdown(socket.SHUT_WR)
+                self.pipe.settimeout(grace)
+                while self.pipe.recv(4096):  # b"": the child has exited
+                    pass
+        except OSError:  # timed out, or the child died first
+            pass
+        os.kill(self.pid, signal.SIGKILL)  # unreaped: the pid is still the child's
+        os.waitpid(self.pid, 0)
+        self.pipe.close()
+
+
+def _frontend_main(pipe: socket.socket, kwargs: dict[str, Any]) -> NoReturn:
+    """The forked child; never returns into the caller's frames."""
+    try:
+        # Nothing inherited but stdio is ours (a copy of a sibling's pipe
+        # would keep it from seeing EOF); frozen, the heap stays shared.
+        gc.freeze()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the host's to handle
+        os.closerange(3, pipe.fileno())
+        os.closerange(pipe.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = sys.stderr = open(2, "w", 1, closefd=False)
+        with pipe.makefile("rb") as orders:
+            addrs = pickle.load(orders)  # EOFError: the host gave up
+        asyncio.run(_serve(pipe, FrontendServer(**addrs, **kwargs)))
+    except EOFError:
+        pass
+    except BaseException:  # noqa: BLE001 — report it, then leave below
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(0)
+
+
+async def _serve(pipe: socket.socket, server: FrontendServer) -> None:
+    try:
+        await server.start()
+        reply: Any = server.http_port
+    except Exception as exc:  # noqa: BLE001 — the host re-raises it
+        reply = exc
+    pipe.sendall(pickle.dumps(reply))
+    if not isinstance(reply, Exception):
+        pipe.setblocking(False)  # b"" = EOF: the host closed its end, or died
+        await asyncio.get_running_loop().sock_recv(pipe, 1)
+    await server.close()
+
+
 class Fleet:
-    """The full deployed topology on localhost, one thread per role."""
+    """The full deployed topology on localhost."""
 
     def __init__(
         self,
@@ -100,92 +182,76 @@ class Fleet:
         self.overlay: Optional[OverlayService] = None
         self.cache: Optional[CacheService] = None
         self.ring: Optional[RingDaemon] = None
-        self.frontends: list[FrontendServer] = []
         self.http_ports: list[int] = []
-        self._threads: list[ServiceThread] = []
-        self._overlay_thread: Optional[ServiceThread] = None
-        self._cache_thread: Optional[ServiceThread] = None
+        self.pids: list[int] = []  #: front-end process ids, by shard
+        #: hosted services by role, in boot order: (thread, service).
+        self._services: dict[str, tuple[ServiceThread, Any]] = {}
+        self._frontends: list[_FrontendProcess] = []
         self._admin: Optional[SyncRpcChannel] = None
 
     # -- lifecycle -----------------------------------------------------
 
+    def _host(self, role: str, service: Any) -> tuple[str, int]:
+        thread = ServiceThread(role)
+        self._services[role] = (thread, service)
+        thread.call(service.start())
+        return (self.host, service.port)
+
+    def _cache_service(self, port: int = 0) -> CacheService:
+        assert self.overlay is not None
+        fc = self.frontend_config or FrontendConfig()
+        return CacheService(
+            host=self.host,
+            port=port,
+            ttl=fc.size_cache_ttl,
+            ttl_min=fc.size_cache_ttl_min,
+            adaptive=fc.adaptive_size_ttl,
+            churn_window=fc.churn_window,
+            overlay_addr=(self.host, self.overlay.port),
+        )
+
     def start(self) -> "Fleet":
-        overlay_thread = ServiceThread("overlay-service")
-        self._threads.append(overlay_thread)
-        self._overlay_thread = overlay_thread
-        self.overlay = OverlayService(self.cluster, host=self.host)
-        overlay_thread.call(self.overlay.start())
-        overlay_addr = (self.host, self.overlay.port)
-
-        cache_addr: Optional[tuple[str, int]] = None
-        if self.with_cache:
-            cache_thread = ServiceThread("cache-service")
-            self._threads.append(cache_thread)
-            self._cache_thread = cache_thread
-            fc = self.frontend_config or FrontendConfig()
-            self.cache = CacheService(
-                host=self.host,
-                ttl=fc.size_cache_ttl,
-                ttl_min=fc.size_cache_ttl_min,
-                adaptive=fc.adaptive_size_ttl,
-                churn_window=fc.churn_window,
-                overlay_addr=overlay_addr,
-            )
-            cache_thread.call(self.cache.start())
-            cache_addr = (self.host, self.cache.port)
-
-        ring_addr: Optional[tuple[str, int]] = None
-        if self.with_ring:
-            ring_thread = ServiceThread("ring-daemon")
-            self._threads.append(ring_thread)
-            self.ring = RingDaemon(host=self.host)
-            ring_thread.call(self.ring.start())
-            ring_addr = (self.host, self.ring.port)
-
-        for shard in range(self.num_frontends):
-            fe_thread = ServiceThread(f"frontend-{shard}")
-            self._threads.append(fe_thread)
-            server = FrontendServer(
-                overlay_addr,
-                http_host=self.host,
-                http_port=(
-                    self.base_http_port + shard if self.base_http_port else 0
-                ),
-                shard=shard,
-                cache_addr=cache_addr,
-                ring_addr=ring_addr,
-                config=self.frontend_config,
-                probe_policy=self.probe_policy,
-                query_timeout=self.query_timeout,
-            )
-            fe_thread.call(server.start())
-            self.frontends.append(server)
-            self.http_ports.append(server.http_port)
+        try:
+            for shard in range(self.num_frontends):  # before any thread
+                frontend = _FrontendProcess(
+                    http_host=self.host,
+                    http_port=self.base_http_port and self.base_http_port + shard,
+                    shard=shard,
+                    config=self.frontend_config,
+                    probe_policy=self.probe_policy,
+                    query_timeout=self.query_timeout,
+                )
+                self._frontends.append(frontend)
+                self.pids.append(frontend.pid)
+            self.overlay = OverlayService(self.cluster, host=self.host)
+            addrs = {"overlay_addr": self._host("overlay-service", self.overlay)}
+            if self.with_cache:
+                self.cache = self._cache_service()
+                addrs["cache_addr"] = self._host("cache-service", self.cache)
+            if self.with_ring:
+                self.ring = RingDaemon(host=self.host)
+                addrs["ring_addr"] = self._host("ring-daemon", self.ring)
+            for frontend in self._frontends:
+                self.http_ports.append(frontend.start(**addrs))
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def close(self) -> None:
+        """Tear down whatever is running; safe to call twice."""
         if self._admin is not None:
             self._admin.close()
         # Reverse boot order: front-ends drain first, services last.
-        components: list[tuple[ServiceThread, Any]] = []
-        thread_iter = iter(self._threads)
-        overlay_thread = next(thread_iter, None)
-        if self.overlay is not None and overlay_thread is not None:
-            components.append((overlay_thread, self.overlay))
-        if self.with_cache and self.cache is not None:
-            components.append((next(thread_iter), self.cache))
-        if self.with_ring and self.ring is not None:
-            components.append((next(thread_iter), self.ring))
-        for server, thread in zip(self.frontends, thread_iter):
-            components.append((thread, server))
-        for thread, component in reversed(components):
+        while self._frontends:
+            self._frontends.pop().stop()
+        while self._services:
+            _role, (thread, service) = self._services.popitem()
             try:
-                thread.call(component.close(), timeout=5.0)
+                thread.call(service.close(), timeout=5.0)
             except Exception:  # noqa: BLE001 — best-effort teardown
                 pass
-        for thread in self._threads:
             thread.stop()
-        self._threads.clear()
 
     def __enter__(self) -> "Fleet":
         return self.start()
@@ -195,6 +261,10 @@ class Fleet:
 
     # -- failure injection (recovery tests) ----------------------------
 
+    def kill_frontend(self, shard: int) -> None:
+        """SIGKILL one front-end process: a crash, not a close."""
+        self._frontends[shard].stop(grace=0)
+
     def restart_cache(self) -> None:
         """Kill the cache service and boot a fresh one on the same port.
 
@@ -202,31 +272,21 @@ class Fleet:
         HELLOs the front-ends' circuit breakers replay when they
         half-open — no front-end is told anything.
         """
-        assert self.with_cache and self.cache is not None
-        assert self._cache_thread is not None and self.overlay is not None
-        port = self.cache.port
+        thread, dead = self._services["cache-service"]
         try:
-            self._cache_thread.call(self.cache.close(), timeout=5.0)
+            thread.call(dead.close(), timeout=5.0)
         except Exception:  # noqa: BLE001 — it may already be half-dead
             pass
-        fc = self.frontend_config or FrontendConfig()
-        self.cache = CacheService(
-            host=self.host,
-            port=port,
-            ttl=fc.size_cache_ttl,
-            ttl_min=fc.size_cache_ttl_min,
-            adaptive=fc.adaptive_size_ttl,
-            churn_window=fc.churn_window,
-            overlay_addr=(self.host, self.overlay.port),
-        )
-        self._cache_thread.call(self.cache.start())
+        self.cache = self._cache_service(dead.port)
+        self._services["cache-service"] = (thread, self.cache)
+        thread.call(self.cache.start())
 
     def reset_overlay_links(self) -> int:
         """Abruptly close every overlay-service client connection (the
         fleet analog of a switch eating the TCP sessions); front-ends
         reconnect and re-attach on their own.  Returns links cut."""
-        assert self.overlay is not None and self._overlay_thread is not None
-        return self._overlay_thread.call(self.overlay.reset_links())
+        thread, overlay = self._services["overlay-service"]
+        return thread.call(overlay.reset_links())
 
     # -- client helpers (blocking; used by tests and the smoke job) ----
 

@@ -40,6 +40,8 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import resource
 import urllib.parse
 from typing import Any, Optional
 
@@ -113,6 +115,12 @@ def result_to_json(qid: str, result: QueryResult) -> dict[str, Any]:
     }
 
 
+def _process_payload() -> dict[str, Any]:
+    """This process's pid and peak resident set (``ru_maxrss``: KB)."""
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"pid": os.getpid(), "rss_mb": round(peak_kb / 1024, 1)}
+
+
 class FrontendServer:
     """One front-end shard: HTTP/JSON API over an unmodified Frontend."""
 
@@ -148,6 +156,7 @@ class FrontendServer:
         #: standing subscriptions owned by HTTP clients, by sid.
         self.subscriptions: dict[str, Any] = {}
         self._server: Optional[asyncio.base_events.Server] = None
+        self._http_tasks: set[Any] = set()  # live HTTP connection handlers
 
     # -- lifecycle -----------------------------------------------------
 
@@ -186,6 +195,11 @@ class FrontendServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # wait_closed() waits for keep-alive connections (3.12.1+).
+            handlers = list(self._http_tasks)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         if self.tier is not None:
             await self.tier.close()
@@ -199,6 +213,8 @@ class FrontendServer:
     async def _serve_http(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._http_tasks.add(task)
         try:
             while True:
                 try:
@@ -236,6 +252,7 @@ class FrontendServer:
         except (ConnectionError, asyncio.IncompleteReadError, ValueError):
             pass
         finally:
+            self._http_tasks.discard(task)
             writer.close()
 
     async def _read_request(
@@ -572,6 +589,7 @@ class FrontendServer:
             "cache_service": self.tier is not None
             and self.tier.rpc.connected,
             "ring_epoch": self.ring.epoch if self.ring else None,
+            **_process_payload(),
         }
         if not connected:
             # Not-ready: tell pollers when the next reconnect attempt
@@ -607,6 +625,7 @@ class FrontendServer:
                 "shared_tier": self.tier is not None,
             },
             "shared_probe_joins": stats.shared_probe_joins,
+            **_process_payload(),
         }
         if fe.plan_cache is not None:
             payload["plan_cache"] = {

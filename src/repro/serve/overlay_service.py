@@ -51,20 +51,22 @@ __all__ = ["OverlayService"]
 class _RemoteFrontendProxy:
     """A remote front-end's seat on the simulated network."""
 
-    __slots__ = ("node_id", "writer", "written")
+    __slots__ = ("node_id", "writer", "written", "stats")
 
     def __init__(
-        self,
-        node_id: int,
-        writer: asyncio.StreamWriter,
-        written: set[asyncio.StreamWriter],
+        self, node_id: int, writer: asyncio.StreamWriter, service: "OverlayService"
     ) -> None:
         self.node_id = node_id
         self.writer = writer
         #: the service's set of writers with frames to flush.
-        self.written = written
+        self.written = service._written
+        self.stats = service.cluster.stats
 
     def handle_message(self, message: Message) -> None:
+        # A reply ends its tag; the front-end drains only its own ledger.
+        tag = message.payload.get("qid") or message.payload.get("probe_id")
+        if tag is not None:
+            self.stats.pop_tag(tag)
         # Called synchronously while the engine drains; frames buffer on
         # the stream writer and are flushed by the connection handler.
         if not self.writer.is_closing():
@@ -193,7 +195,7 @@ class OverlayService:
                     )
                     await writer.drain()
                     return
-                proxy = _RemoteFrontendProxy(node_id, writer, self._written)
+                proxy = _RemoteFrontendProxy(node_id, writer, self)
                 self.cluster.network.attach(proxy)
                 self._proxies[node_id] = proxy
             space = self.cluster.overlay.space
