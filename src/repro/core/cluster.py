@@ -49,16 +49,15 @@ class MoaraCluster:
         num_frontends: int = 1,
         detailed_bytes: bool = False,
         shared_size_cache: bool = True,
-        kernel: Optional[str] = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("cluster needs at least one node")
         if num_frontends < 0:
             raise ValueError("num_frontends must be >= 0")
-        # ``kernel`` selects the engine's scheduler ("wheel" or "heap");
-        # None defers to MOARA_SIM_KERNEL / the wheel default.  Exposed so
-        # differential tests can run the same cluster under both kernels.
-        self.engine = Engine(kernel=kernel)
+        # One event engine drives every node, front-end and message.  It
+        # is looked up through this module's ``Engine`` name, which is how
+        # the kernel differential tests swap in their heap reference.
+        self.engine = Engine()
         # Counts-only stats by default; pass detailed_bytes=True to restore
         # per-message byte estimation for bandwidth analysis (slower).
         self.stats = MessageStats(detailed_bytes=detailed_bytes)

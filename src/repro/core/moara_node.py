@@ -258,7 +258,7 @@ class MoaraNode:
         self._share_executions = self.config.share_executions
         self._gc_enabled = type(self.gc_policy) is not NoGC
         #: engine time of the next duplicate-suppression rotation.
-        self._rotate_at = self._engine._now + self._answered_ttl
+        self._rotate_at = self._engine.now + self._answered_ttl
         #: churn-adaptive TTL policy for the result cache (None when the
         #: cache is disabled or the operator pinned a fixed TTL).  Each
         #: node tracks churn it observes itself -- STATUS_UPDATE arrivals
@@ -569,7 +569,7 @@ class MoaraNode:
                 # definition (before anything is cached) does not read
                 # as churn.  Future entries for this tree get shorter
                 # TTLs while the invalidation rate stays high.
-                self._ttl_policy.observe(state.pred_key, self._engine._now)
+                self._ttl_policy.observe(state.pred_key, self._engine.now)
         state.record_child_report(child, frozenset(update_set), subtree_recv)
         self._recompute(state)
 
@@ -594,7 +594,7 @@ class MoaraNode:
         qid = payload["qid"]
         cover = payload.get("cover")
         exec_key = execution_key(query, pred_key, cover)
-        now = self._engine._now
+        now = self._engine.now
         stats = self.network.stats
         if exec_key is not None and self.result_cache.enabled:
             entry = self.result_cache.get(exec_key, now)
@@ -645,7 +645,7 @@ class MoaraNode:
             pred_key = state.pred_key
         qid = payload["qid"]
         qkey = (qid, pred_key)
-        now = self._engine._now
+        now = self._engine.now
         reply_to = message.src
         if now >= self._rotate_at:
             self._rotate(now)
@@ -762,7 +762,7 @@ class MoaraNode:
     ) -> None:
         pred_key = state.pred_key
         key = (qid, pred_key)
-        now = self._engine._now
+        now = self._engine.now
         if now >= self._rotate_at:
             self._rotate(now)
         seen = self._seen.get(pred_key)
@@ -940,7 +940,7 @@ class MoaraNode:
         if pending.exec_key is None:
             return
         if not pending.truncated:
-            now = self._engine._now
+            now = self._engine.now
             self._remember_result(
                 state,
                 pending.exec_key,
@@ -1133,7 +1133,7 @@ class MoaraNode:
             self.result_cache.clear()
             if self._ttl_policy is not None:
                 # Overlay churn raises every group's observed rate.
-                self._ttl_policy.observe_global(self._engine._now)
+                self._ttl_policy.observe_global(self._engine.now)
         if left:
             for key in list(self._pending):
                 pending = self._pending.get(key)

@@ -209,9 +209,10 @@ class CacheService:
                 pass
         if self._server is not None:
             self._server.close()
+            # Sever clients first: wait_closed() waits for them (3.12.1+).
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
 
     async def _observe_overlay(self) -> None:
         """Subscribe to the overlay service's membership pushes so churn

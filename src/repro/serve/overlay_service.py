@@ -125,9 +125,10 @@ class OverlayService:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Sever clients first: wait_closed() waits for them (3.12.1+).
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
 
     async def reset_links(self) -> int:
         """Drop every client connection without stopping the service —

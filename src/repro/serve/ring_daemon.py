@@ -98,9 +98,10 @@ class RingDaemon:
                 pass
         if self._server is not None:
             self._server.close()
+            # Sever clients first: wait_closed() waits for them (3.12.1+).
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
 
     # -- membership ----------------------------------------------------
 

@@ -1,45 +1,40 @@
-"""Deterministic discrete-event engine with two interchangeable kernels.
+"""Deterministic discrete-event engine: one calendar-queue kernel.
 
 Every node in the reproduction runs on top of one :class:`Engine`.  Events
 are callbacks scheduled at simulated timestamps; ties are broken by a
 monotonically increasing sequence number so that runs are fully
 deterministic for a given seed and call order.
 
-Two kernels implement the same contract (selected by the ``kernel``
-constructor argument or the ``MOARA_SIM_KERNEL`` environment variable):
+The kernel is a calendar-queue hybrid tuned for the message-dominated
+workloads of the query plane.  Fire-and-forget events land in one of three
+structures chosen at post time:
 
-* ``wheel`` (the default) -- a calendar-queue hybrid tuned for the
-  message-dominated workloads of the query plane.  Fire-and-forget events
-  land in one of three structures chosen at post time:
+- a plain FIFO deque for events due *exactly now* (the dominant case in
+  zero-latency bandwidth runs, where every delivery happens at the
+  current tick): O(1) append, O(1) pop, no comparisons;
+- a ring of time buckets (the timer wheel) for events inside the horizon
+  (``_NUM_BUCKETS * _BUCKET_WIDTH`` seconds ahead): O(1) append into the
+  bucket, one ``sort`` per bucket when the clock reaches it;
+- a binary-heap overflow for far-future events, and for *every*
+  cancellable :meth:`Engine.schedule_at` event (so lazy cancellation and
+  heap compaction live in exactly one place).
 
-  - a plain FIFO deque for events due *exactly now* (the dominant case in
-    zero-latency bandwidth runs, where every delivery happens at the
-    current tick): O(1) append, O(1) pop, no comparisons;
-  - a ring of time buckets (the timer wheel) for events inside the
-    horizon (``num_buckets * bucket_width`` seconds ahead): O(1) append
-    into the bucket, one ``sort`` per bucket when the clock reaches it;
-  - a binary-heap overflow for far-future events, and for *every*
-    cancellable :meth:`schedule_at` event (so lazy cancellation and heap
-    compaction live in exactly one place).
-
-  Popping compares the heads of the three structures by ``(time, seq)``,
-  which is what makes the wheel's fire order *bit-identical* to the heap
-  kernel's: the data structure changes, the total order does not.  Spent
-  wheel entries are recycled through free-lists (see below).
-
-* ``heap`` -- the original single binary heap of
-  ``(time, seq, tag, callback, payload)`` tuples, kept as the reference
-  kernel for differential testing (``MOARA_SIM_KERNEL=heap``).
+Popping compares the heads of the three structures by ``(time, seq)``, so
+the fire order is the same total order a single binary heap would give.
+The test tree keeps that single-heap kernel as a reference
+(``tests/sim/heap_engine.py``), and ``tests/sim/test_kernel_differential.py``
+pins that both fire the same events in the same order, with the same
+answers and message counts, from engine level up to whole campaigns.
 
 Hot-path design notes (this module is the simulator's innermost loop):
 
 * heap entries are plain tuples so ordering is decided by C-level tuple
   comparison instead of a Python ``__lt__`` per sift step (``seq`` is
   unique, so comparison never reaches the non-comparable elements);
-* :meth:`Engine.post_at` / :meth:`Engine.post1_at` schedule
-  *fire-and-forget* events -- no :class:`EventHandle` allocation.  The
-  network uses them for message deliveries (never cancelled), which is
-  the bulk of all events in a query-heavy run;
+* :meth:`Engine.post1_at` schedules a *fire-and-forget* event -- no
+  :class:`EventHandle` allocation.  The network uses it for message
+  deliveries (never cancelled), which is the bulk of all events in a
+  query-heavy run;
 * :meth:`Engine.post_batch_at` schedules N same-tick callbacks as *one*
   queue entry that consumes N sequence numbers: a k-way fan-out costs one
   scheduler operation instead of k, while ``events_processed`` still
@@ -47,9 +42,9 @@ Hot-path design notes (this module is the simulator's innermost loop):
   ``burst_seq``) is unchanged.  A mid-batch stop or budget exhaustion
   re-queues the unfired remainder under its original sequence numbers,
   so observable fire order is independent of batching;
-* the wheel kernel recycles its 5-slot list entries (and batch item
-  lists) through bounded free-lists, cutting the allocate-and-discard
-  churn of one list per event;
+* spent 5-slot list entries (and batch item lists) are recycled through
+  bounded free-lists, cutting the allocate-and-discard churn of one list
+  per event;
 * :attr:`Engine.pending` is a maintained live-event counter, not an O(n)
   scan of the queues;
 * cancellation stays lazy (cancelled entries are skipped at pop time),
@@ -57,22 +52,20 @@ Hot-path design notes (this module is the simulator's innermost loop):
   compacted in one O(n) pass, so a workload that schedules-and-cancels
   (per-query child timeouts) cannot grow the queue without bound;
 * :meth:`Engine.request_stop` lets an event callback end the current
-  :meth:`run` right after it returns -- the wake-up primitive behind the
-  cluster's event-driven query completion (no per-event predicate
-  polling);
-* both kernels share one drive loop (:meth:`Engine._run_core`): the
-  bounded (``until``) and unbounded paths are the same code, and a
-  kernel only has to provide :meth:`_pop_due`.
+  :meth:`Engine.run` right after it returns -- the wake-up primitive
+  behind the cluster's event-driven query completion (no per-event
+  predicate polling);
+* one drive loop (:meth:`Engine._run_core`) serves the bounded
+  (``until``) and unbounded paths alike.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappop, heappush, heapify
 from typing import Any, Callable, Optional
 
-__all__ = ["Engine", "EventHandle", "HeapEngine", "WheelEngine"]
+__all__ = ["Engine", "EventHandle"]
 
 #: below this queue size compaction is pointless (the scan costs more than
 #: the dead entries ever will).
@@ -82,6 +75,14 @@ _COMPACT_MIN_QUEUE = 64
 #: small enough that an idle engine pins only a few KB.
 _ENTRY_POOL_MAX = 1024
 _BATCH_POOL_MAX = 64
+
+#: timer-wheel geometry: 2048 one-millisecond buckets (a ~2 s horizon;
+#: later events overflow to the heap).  The bucket count is a power of
+#: two so a slot maps to its bucket with a mask.
+_BUCKET_WIDTH = 0.001
+_INV_WIDTH = 1.0 / _BUCKET_WIDTH
+_NUM_BUCKETS = 2048
+_MASK = _NUM_BUCKETS - 1
 
 _INF = float("inf")
 
@@ -144,34 +145,42 @@ class EventHandle:
         if engine is not None and self.in_heap:
             engine._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
 class Engine:
-    """A discrete-event simulator with pluggable scheduling kernels.
+    """A discrete-event simulator on a calendar-queue scheduler.
 
-    The engine owns the simulated clock.  Components schedule work with
-    :meth:`schedule` / :meth:`schedule_at` (cancellable, returns an
-    :class:`EventHandle`), :meth:`post_at` / :meth:`post1_at`
-    (fire-and-forget, cheaper), or :meth:`post_batch_at` (N same-tick
+    The engine owns the simulated clock, :attr:`now` (seconds).
+    Components schedule work with :meth:`schedule` / :meth:`schedule_at`
+    (cancellable, returns an :class:`EventHandle`), :meth:`post1_at`
+    (fire-and-forget, cheaper) or :meth:`post_batch_at` (N same-tick
     events as one entry), and the driver advances time with :meth:`run` /
     :meth:`run_until_idle`.
 
-    ``Engine(...)`` dispatches to :class:`WheelEngine` (default) or
-    :class:`HeapEngine` per the ``kernel`` argument, falling back to the
-    ``MOARA_SIM_KERNEL`` environment variable.  Both kernels fire the
-    same events in the same ``(time, seq)`` order -- the differential
-    suite in ``tests/sim/test_kernel_differential.py`` pins that.
+    Three structures, compared by head ``(time, seq)`` at pop time:
+
+    * ``_fifo`` -- events posted for *exactly now* (O(1) both ends).  The
+      clock cannot pass a FIFO entry (it always compares smallest-or-tied
+      against the other heads), so entries never go stale.
+    * ``_ring[slot(t) & _MASK]`` -- events inside the wheel horizon.  A
+      bucket is sorted once when the cursor reaches it and becomes the
+      *current-slot heap* ``_cur`` (a sorted list satisfies the heap
+      invariant, so later same-slot posts can ``heappush`` into it).
+      Events posted behind the cursor land directly in ``_cur``.
+    * ``_queue`` -- the overflow heap: far-future events and every
+      cancellable :meth:`schedule_at` entry.
+
+    Ring entries always live *ahead* of the cursor (inserts behind it go
+    to ``_cur``), and a bucket is emptied wholesale when visited, so a
+    physical bucket never mixes entries from different wheel wraps.
     """
 
     __slots__ = (
+        "now",
         "_queue",
-        "_now",
         "_seq",
         "_events_processed",
         "_live",
@@ -180,34 +189,21 @@ class Engine:
         "compactions",
         "_pool",
         "_batch_pool",
+        "_fifo",
+        "_cur",
+        "_ring",
+        "_cursor",
+        "_wheel_count",
+        "_horizon_t",
     )
 
-    #: kernel name ("heap" / "wheel"), overridden by subclasses.
-    kernel = "?"
-    #: empty stand-ins for the wheel kernel's structures so the shared
-    #: drive loop can probe them on any kernel (WheelEngine shadows both
-    #: with real slots; on HeapEngine they are always falsy).
-    _fifo: Any = ()
-    _cur: Any = ()
-
-    def __new__(cls, kernel: Optional[str] = None, **kwargs: Any) -> "Engine":
-        if cls is Engine:
-            name = kernel or os.environ.get("MOARA_SIM_KERNEL") or "wheel"
-            try:
-                cls = _KERNELS[name]
-            except KeyError:
-                raise ValueError(
-                    f"unknown simulation kernel {name!r} "
-                    f"(valid: {sorted(_KERNELS)})"
-                ) from None
-        return object.__new__(cls)
-
-    def __init__(self, kernel: Optional[str] = None) -> None:
+    def __init__(self) -> None:
+        #: current simulated time in seconds (advanced only by the engine).
+        self.now = 0.0
         #: overflow / cancellable heap of (time, seq, tag, callback,
-        #: payload) tuples, where tag is None (args tuple), _ONE (single
-        #: arg), _BATCH (item list), or an EventHandle.
+        #: payload) tuples, where tag is _ONE (single arg), _BATCH (item
+        #: list) or an EventHandle (args tuple).
         self._queue: list[tuple] = []
-        self._now = 0.0
         self._seq = 0
         self._events_processed = 0
         #: number of non-cancelled events currently queued (all structures).
@@ -219,15 +215,20 @@ class Engine:
         self._stop_requested = False
         #: total heap compactions performed (observability / tests).
         self.compactions = 0
-        #: free-list of spent 5-slot entry lists (wheel kernel).
+        #: free-list of spent 5-slot entry lists.
         self._pool: list[list] = []
         #: free-list of spent batch item lists (see :meth:`batch_list`).
         self._batch_pool: list[list] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: events due exactly at the current clock (list entries).
+        self._fifo: deque[list] = deque()
+        #: current-slot heap (list entries, heap-ordered by (time, seq)).
+        self._cur: list[list] = []
+        self._ring: list[list[list]] = [[] for _ in range(_NUM_BUCKETS)]
+        self._cursor = 0
+        #: entries currently in ring buckets (excludes _fifo/_cur/_queue).
+        self._wheel_count = 0
+        #: absolute time beyond which posts overflow to the heap.
+        self._horizon_t = _NUM_BUCKETS * _BUCKET_WIDTH
 
     @property
     def events_processed(self) -> int:
@@ -250,20 +251,18 @@ class Engine:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute time ``time``.
 
-        Cancellable events always live in the heap (both kernels), so
-        lazy cancellation and compaction have exactly one home.
+        Cancellable events always live in the heap, so lazy cancellation
+        and compaction have exactly one home.
         """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}"
-            )
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args)
@@ -273,24 +272,36 @@ class Engine:
         self._live += 1
         return handle
 
-    def post_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Schedule a *fire-and-forget* event at absolute time ``time``.
-
-        Like :meth:`schedule_at` but returns no handle and allocates none:
-        the event cannot be cancelled.
-        """
-        raise NotImplementedError  # pragma: no cover - kernel implements
-
     def post1_at(
         self, time: float, callback: Callable[[Any], None], arg: Any
     ) -> None:
-        """:meth:`post_at` specialised to one argument: fires
-        ``callback(arg)`` with no args-tuple allocation.  Message
+        """Schedule a *fire-and-forget* ``callback(arg)`` at absolute time
+        ``time``.
+
+        Like :meth:`schedule_at` but returns no handle and allocates none
+        (nor an args tuple): the event cannot be cancelled.  Message
         deliveries -- the vast majority of all events -- use this path.
         """
-        raise NotImplementedError  # pragma: no cover - kernel implements
+        now = self.now
+        if time < now:
+            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        if time == now:
+            pool = self._pool
+            if pool:
+                entry = pool.pop()
+                entry[0] = time
+                entry[1] = seq
+                entry[2] = _ONE
+                entry[3] = callback
+                entry[4] = arg
+            else:
+                entry = [time, seq, _ONE, callback, arg]
+            self._fifo.append(entry)
+            return
+        self._wheel_insert(time, [time, seq, _ONE, callback, arg])
 
     def post_batch_at(
         self, time: float, callback: Callable[[Any], None], items: list
@@ -303,7 +314,29 @@ class Engine:
         :meth:`post1_at` calls would.  The engine takes ownership of
         ``items`` (obtain it from :meth:`batch_list` to recycle).
         """
-        raise NotImplementedError  # pragma: no cover - kernel implements
+        now = self.now
+        if time < now:
+            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
+        n = len(items)
+        if n == 0:
+            return
+        seq = self._seq
+        self._seq = seq + n
+        self._live += n
+        if time == now:
+            pool = self._pool
+            if pool:
+                entry = pool.pop()
+                entry[0] = time
+                entry[1] = seq
+                entry[2] = _BATCH
+                entry[3] = callback
+                entry[4] = items
+            else:
+                entry = [time, seq, _BATCH, callback, items]
+            self._fifo.append(entry)
+            return
+        self._wheel_insert(time, [time, seq, _BATCH, callback, items])
 
     def batch_list(self) -> list:
         """An empty list for :meth:`post_batch_at`, recycled from the
@@ -363,21 +396,112 @@ class Engine:
         self.compactions += 1
 
     # ------------------------------------------------------------------
-    # driving (one code path for both kernels and all drive modes)
+    # wheel internals
     # ------------------------------------------------------------------
+
+    def _wheel_insert(self, time: float, entry: list) -> None:
+        """Route a future-time entry to the current-slot heap, a ring
+        bucket, or the overflow heap."""
+        if time >= self._horizon_t and not self._wheel_count and not self._cur:
+            # The wheel is empty: re-anchor the cursor at the clock so the
+            # horizon tracks simulated time even after long idle jumps.
+            cursor = int(self.now * _INV_WIDTH)
+            self._cursor = cursor
+            self._horizon_t = (cursor + _NUM_BUCKETS) * _BUCKET_WIDTH
+        if time < self._horizon_t:
+            slot = int(time * _INV_WIDTH)
+            if slot <= self._cursor:
+                heappush(self._cur, entry)
+            else:
+                self._ring[slot & _MASK].append(entry)
+                self._wheel_count += 1
+            return
+        # Far future: the overflow heap holds tuples only (it is shared
+        # with cancellable entries; mixed list/tuple keys don't compare).
+        heappush(self._queue, (entry[0], entry[1], entry[2], entry[3], entry[4]))
+
+    def _advance_wheel(self) -> None:
+        """Collect the next non-empty ring bucket into the (empty)
+        current-slot heap.  Only called while the ring holds entries, so
+        the scan terminates within one wrap."""
+        ring = self._ring
+        cursor = self._cursor
+        while True:
+            cursor += 1
+            bucket = ring[cursor & _MASK]
+            if bucket:
+                break
+        bucket.sort()
+        # Hand the bucket over as the new current-slot heap (a sorted list
+        # is a valid heap) and recycle the drained old one as the bucket.
+        ring[cursor & _MASK] = self._cur
+        self._cur = bucket
+        self._wheel_count -= len(bucket)
+        self._cursor = cursor
+        self._horizon_t = (cursor + _NUM_BUCKETS) * _BUCKET_WIDTH
 
     def _pop_due(self, limit: float) -> Optional[Any]:
         """Pop and return the next live entry with ``time <= limit``, or
-        None (leaving any later entry queued).  Kernel-specific."""
-        raise NotImplementedError  # pragma: no cover - kernel implements
+        None (leaving any later entry queued)."""
+        fifo = self._fifo
+        cur = self._cur
+        if not cur and self._wheel_count:
+            self._advance_wheel()
+            cur = self._cur
+        queue = self._queue
+        while queue:
+            tag = queue[0][2]
+            if type(tag) is EventHandle and tag.cancelled:
+                heappop(queue)
+                tag.in_heap = False
+                self._dead -= 1
+                continue
+            break
+        if fifo:
+            best = fifo[0]
+            src = 1
+        else:
+            best = None
+            src = 0
+        if cur:
+            head = cur[0]
+            if (
+                best is None
+                or head[0] < best[0]
+                or (head[0] == best[0] and head[1] < best[1])
+            ):
+                best = head
+                src = 2
+        if queue:
+            head = queue[0]
+            if (
+                best is None
+                or head[0] < best[0]
+                or (head[0] == best[0] and head[1] < best[1])
+            ):
+                best = head
+                src = 3
+        if best is None or best[0] > limit:
+            return None
+        if src == 1:
+            return fifo.popleft()
+        if src == 2:
+            return heappop(cur)
+        return heappop(queue)
 
     def _requeue_batch_front(
         self, time: float, seq: int, callback: Callable[[Any], None], items: list
     ) -> None:
         """Re-queue the unfired remainder of a batch under its original
-        (time, seq) key -- it is, by construction, the globally smallest
-        key outstanding.  Kernel-specific."""
-        raise NotImplementedError  # pragma: no cover - kernel implements
+        (time, seq) key -- by construction the globally smallest key
+        outstanding.  ``time == now`` (the batch was firing), so the FIFO
+        front is the right home; its seq precedes every other queued
+        same-time entry because batch sequence numbers are contiguous."""
+        self._fifo.appendleft([time, seq, _BATCH, callback, items])
+
+    # ------------------------------------------------------------------
+    # driving (one code path for all drive modes)
+    # ------------------------------------------------------------------
 
     def _run_core(self, until: Optional[float], max_events: Optional[int]) -> int:
         """The single drive loop.  Fires due events in ``(time, seq)``
@@ -391,11 +515,11 @@ class Engine:
         fired = 0
         pop_due = self._pop_due
         pool = self._pool
-        # The wheel kernel's same-tick FIFO (identity is stable for the
-        # engine's lifetime; () on the heap kernel).  When it alone holds
-        # entries, its head is the global minimum -- the current-slot heap
-        # and overflow heap are empty, and ring buckets hold strictly
-        # later times -- so the three-way compare in _pop_due is skipped.
+        # The same-tick FIFO (identity is stable for the engine's
+        # lifetime).  When it alone holds entries, its head is the global
+        # minimum -- the current-slot heap and overflow heap are empty,
+        # and ring buckets hold strictly later times -- so the three-way
+        # compare in _pop_due is skipped.
         fifo = self._fifo
         while True:
             if fifo and not self._cur and not self._queue:
@@ -404,11 +528,11 @@ class Engine:
             else:
                 entry = pop_due(limit)
             if entry is None:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
                 return fired
             tag = entry[2]
-            self._now = entry[0]
+            self.now = entry[0]
             if tag is _BATCH:
                 callback = entry[3]
                 items = entry[4]
@@ -438,9 +562,9 @@ class Engine:
                 if tag is _ONE:
                     entry[3](entry[4])
                 else:
-                    if tag is not None:
-                        tag.in_heap = False  # EventHandle (dead ones were
-                        # already skipped by _pop_due)
+                    # An EventHandle (dead ones were already skipped by
+                    # _pop_due).
+                    tag.in_heap = False
                     entry[3](*entry[4])
                 fired += 1
                 if self._stop_requested or fired == budget:
@@ -516,318 +640,3 @@ class Engine:
                     f"predicate not satisfied within {max_events} events"
                 )
         return predicate()
-
-
-class HeapEngine(Engine):
-    """The reference kernel: one binary heap of plain tuples.
-
-    Retained behind ``MOARA_SIM_KERNEL=heap`` so the wheel kernel can be
-    differentially tested against it -- both kernels must fire the same
-    events in the same ``(time, seq)`` order.
-    """
-
-    __slots__ = ()
-
-    kernel = "heap"
-
-    def post_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (time, seq, None, callback, args))
-        self._live += 1
-
-    def post1_at(
-        self, time: float, callback: Callable[[Any], None], arg: Any
-    ) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (time, seq, _ONE, callback, arg))
-        self._live += 1
-
-    def post_batch_at(
-        self, time: float, callback: Callable[[Any], None], items: list
-    ) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}"
-            )
-        n = len(items)
-        if n == 0:
-            return
-        seq = self._seq
-        self._seq = seq + n
-        heappush(self._queue, (time, seq, _BATCH, callback, items))
-        self._live += n
-
-    def _requeue_batch_front(
-        self, time: float, seq: int, callback: Callable[[Any], None], items: list
-    ) -> None:
-        heappush(self._queue, (time, seq, _BATCH, callback, items))
-
-    def _pop_due(self, limit: float) -> Optional[tuple]:
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            tag = entry[2]
-            if type(tag) is EventHandle and tag.cancelled:
-                heappop(queue)
-                tag.in_heap = False
-                self._dead -= 1
-                continue
-            if entry[0] > limit:
-                return None
-            return heappop(queue)
-        return None
-
-
-class WheelEngine(Engine):
-    """The calendar-queue kernel (default).
-
-    Three structures, compared by head ``(time, seq)`` at pop time:
-
-    * ``_fifo`` -- events posted for *exactly now* (O(1) both ends).  The
-      clock cannot pass a FIFO entry (it always compares smallest-or-tied
-      against the other heads), so entries never go stale.
-    * ``_ring[slot(t) % num_buckets]`` -- events inside the wheel horizon.
-      A bucket is sorted once when the cursor reaches it and becomes the
-      *current-slot heap* ``_cur`` (a sorted list satisfies the heap
-      invariant, so later same-slot posts can ``heappush`` into it).
-      Events posted behind the cursor land directly in ``_cur``.
-    * ``_queue`` -- the shared overflow heap: far-future events and every
-      cancellable :meth:`schedule_at` entry.
-
-    Ring entries always live *ahead* of the cursor (inserts behind it go
-    to ``_cur``), and a bucket is emptied wholesale when visited, so a
-    physical bucket never mixes entries from different wheel wraps.
-    """
-
-    __slots__ = (
-        "_fifo",
-        "_cur",
-        "_ring",
-        "_cursor",
-        "_wheel_count",
-        "_width",
-        "_inv_width",
-        "_mask",
-        "_horizon_t",
-    )
-
-    kernel = "wheel"
-
-    def __init__(
-        self,
-        kernel: Optional[str] = None,
-        bucket_width: float = 0.001,
-        num_buckets: int = 2048,
-    ) -> None:
-        super().__init__()
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        if num_buckets < 2:
-            raise ValueError(f"need at least 2 buckets, got {num_buckets}")
-        size = 1
-        while size < num_buckets:
-            size <<= 1
-        #: events due exactly at the current clock (list entries).
-        self._fifo: deque[list] = deque()
-        #: current-slot heap (list entries, heap-ordered by (time, seq)).
-        self._cur: list[list] = []
-        self._ring: list[list[list]] = [[] for _ in range(size)]
-        self._cursor = 0
-        #: entries currently in ring buckets (excludes _fifo/_cur/_queue).
-        self._wheel_count = 0
-        self._width = bucket_width
-        self._inv_width = 1.0 / bucket_width
-        self._mask = size - 1
-        #: absolute time beyond which posts overflow to the heap.
-        self._horizon_t = size * bucket_width
-
-    def post_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        now = self._now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if time == now:
-            pool = self._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = time
-                entry[1] = seq
-                entry[2] = None
-                entry[3] = callback
-                entry[4] = args
-            else:
-                entry = [time, seq, None, callback, args]
-            self._fifo.append(entry)
-            return
-        self._wheel_insert(time, [time, seq, None, callback, args])
-
-    def post1_at(
-        self, time: float, callback: Callable[[Any], None], arg: Any
-    ) -> None:
-        now = self._now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if time == now:
-            pool = self._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = time
-                entry[1] = seq
-                entry[2] = _ONE
-                entry[3] = callback
-                entry[4] = arg
-            else:
-                entry = [time, seq, _ONE, callback, arg]
-            self._fifo.append(entry)
-            return
-        self._wheel_insert(time, [time, seq, _ONE, callback, arg])
-
-    def post_batch_at(
-        self, time: float, callback: Callable[[Any], None], items: list
-    ) -> None:
-        now = self._now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
-        n = len(items)
-        if n == 0:
-            return
-        seq = self._seq
-        self._seq = seq + n
-        self._live += n
-        if time == now:
-            pool = self._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = time
-                entry[1] = seq
-                entry[2] = _BATCH
-                entry[3] = callback
-                entry[4] = items
-            else:
-                entry = [time, seq, _BATCH, callback, items]
-            self._fifo.append(entry)
-            return
-        self._wheel_insert(time, [time, seq, _BATCH, callback, items])
-
-    def _requeue_batch_front(
-        self, time: float, seq: int, callback: Callable[[Any], None], items: list
-    ) -> None:
-        # time == self._now (the batch was firing), so the FIFO front is
-        # the right home; its seq precedes every other queued same-time
-        # entry because batch sequence numbers are contiguous.
-        self._fifo.appendleft([time, seq, _BATCH, callback, items])
-
-    # ------------------------------------------------------------------
-    # wheel internals
-    # ------------------------------------------------------------------
-
-    def _wheel_insert(self, time: float, entry: list) -> None:
-        """Route a future-time entry to the current-slot heap, a ring
-        bucket, or the overflow heap."""
-        if time >= self._horizon_t and not self._wheel_count and not self._cur:
-            # The wheel is empty: re-anchor the cursor at the clock so the
-            # horizon tracks simulated time even after long idle jumps.
-            cursor = int(self._now * self._inv_width)
-            self._cursor = cursor
-            self._horizon_t = (cursor + self._mask + 1) * self._width
-        if time < self._horizon_t:
-            slot = int(time * self._inv_width)
-            if slot <= self._cursor:
-                heappush(self._cur, entry)
-            else:
-                self._ring[slot & self._mask].append(entry)
-                self._wheel_count += 1
-            return
-        # Far future: the overflow heap holds tuples only (it is shared
-        # with cancellable entries; mixed list/tuple keys don't compare).
-        heappush(self._queue, (entry[0], entry[1], entry[2], entry[3], entry[4]))
-
-    def _advance_wheel(self) -> None:
-        """Collect the next non-empty ring bucket into the (empty)
-        current-slot heap.  Only called while the ring holds entries, so
-        the scan terminates within one wrap."""
-        ring = self._ring
-        mask = self._mask
-        cursor = self._cursor
-        while True:
-            cursor += 1
-            bucket = ring[cursor & mask]
-            if bucket:
-                break
-        bucket.sort()
-        # Hand the bucket over as the new current-slot heap (a sorted list
-        # is a valid heap) and recycle the drained old one as the bucket.
-        ring[cursor & mask] = self._cur
-        self._cur = bucket
-        self._wheel_count -= len(bucket)
-        self._cursor = cursor
-        self._horizon_t = (cursor + mask + 1) * self._width
-
-    def _pop_due(self, limit: float) -> Optional[Any]:
-        fifo = self._fifo
-        cur = self._cur
-        if not cur and self._wheel_count:
-            self._advance_wheel()
-            cur = self._cur
-        queue = self._queue
-        while queue:
-            tag = queue[0][2]
-            if type(tag) is EventHandle and tag.cancelled:
-                heappop(queue)
-                tag.in_heap = False
-                self._dead -= 1
-                continue
-            break
-        if fifo:
-            best = fifo[0]
-            src = 1
-        else:
-            best = None
-            src = 0
-        if cur:
-            head = cur[0]
-            if (
-                best is None
-                or head[0] < best[0]
-                or (head[0] == best[0] and head[1] < best[1])
-            ):
-                best = head
-                src = 2
-        if queue:
-            head = queue[0]
-            if (
-                best is None
-                or head[0] < best[0]
-                or (head[0] == best[0] and head[1] < best[1])
-            ):
-                best = head
-                src = 3
-        if best is None or best[0] > limit:
-            return None
-        if src == 1:
-            return fifo.popleft()
-        if src == 2:
-            return heappop(cur)
-        return heappop(queue)
-
-
-_KERNELS: dict[str, type] = {"heap": HeapEngine, "wheel": WheelEngine}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Protocol, runtime_checkable
 
-from repro.sim.engine import _BATCH, _ONE, Engine
+from repro.sim.engine import Engine
 from repro.sim.latency import LatencyModel, ZeroLatencyModel
 from repro.sim.stats import MessageStats
 
@@ -191,10 +191,6 @@ class Network:
         #: fresh bound-method object per access, and it is scheduled once
         #: per message.
         self._deliver_cb = self._deliver
-        #: wheel kernel detected: the zero-latency fast path may append
-        #: pooled entries straight onto the engine's same-tick FIFO
-        #: (kept in sync with Engine.post1_at / post_batch_at).
-        self._wheel = engine.kernel == "wheel"
         self._fast_path = isinstance(self.latency_model, ZeroLatencyModel)
         self._const_send_service = self.latency_model.constant_send_service
         self._const_receive_service = self.latency_model.constant_receive_service
@@ -207,7 +203,7 @@ class Network:
     @property
     def now(self) -> float:
         """The transport clock (:class:`FrontendTransport` seam)."""
-        return self.engine._now
+        return self.engine.now
 
     @property
     def burst_seq(self) -> int:
@@ -305,7 +301,7 @@ class Network:
         accounting.
         """
         engine = self.engine
-        now = engine._now  # plain slot read; .now is a property
+        now = engine.now
         if payload is None:
             payload = {}
         # Inlined Message construction (bypasses the __init__ frame on the
@@ -342,27 +338,9 @@ class Network:
             stats.record_drop()
             return message
         if self._fast_path:
-            # Zero-latency delivery lands at the current tick: the wheel
-            # kernel's FIFO absorbs it with no heap operation at all.
-            # Inlined Engine.post1_at (time == now always holds here;
-            # keep in sync with the engine).
-            if self._wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                pool = engine._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = now
-                    entry[1] = seq
-                    entry[2] = _ONE
-                    entry[3] = self._deliver_cb
-                    entry[4] = message
-                else:
-                    entry = [now, seq, _ONE, self._deliver_cb, message]
-                engine._fifo.append(entry)
-            else:
-                engine.post1_at(now, self._deliver_cb, message)
+            # Zero-latency delivery lands at the current tick: the
+            # engine's same-tick FIFO absorbs it with no heap operation.
+            engine.post1_at(now, self._deliver_cb, message)
             return message
         model = self.latency_model
         depart = self._sender_free.get(src, 0.0)
@@ -419,7 +397,7 @@ class Network:
         if payload is None:
             payload = {}
         engine = self.engine
-        now = engine._now  # plain slot read; .now is a property
+        now = engine.now
         tag = payload.get("qid")
         if tag is None:
             tag = payload.get("probe_id")
@@ -470,25 +448,7 @@ class Network:
                 received_by_node[dst] += 1
                 items.append(message)
             stats.batched_messages += n
-            # Inlined Engine.post_batch_at (time == now, n > 0; keep in
-            # sync with the engine).
-            if self._wheel:
-                seq = engine._seq
-                engine._seq = seq + n
-                engine._live += n
-                pool = engine._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = now
-                    entry[1] = seq
-                    entry[2] = _BATCH
-                    entry[3] = self._deliver_cb
-                    entry[4] = items
-                else:
-                    entry = [now, seq, _BATCH, self._deliver_cb, items]
-                engine._fifo.append(entry)
-            else:
-                engine.post_batch_at(now, self._deliver_cb, items)
+            engine.post_batch_at(now, self._deliver_cb, items)
             return
         model = self.latency_model
         svc = self._const_send_service
@@ -542,7 +502,7 @@ class Network:
         if dst not in self._processes or dst in self._crashed:
             self.stats.record_drop()
             return
-        now = self.engine._now
+        now = self.engine.now
         ready = self._receiver_free.get(dst, 0.0)
         if ready < now:
             ready = now

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Engine
+from tests.sim.heap_engine import KERNELS
 
 
 def test_clock_starts_at_zero(engine: Engine) -> None:
@@ -135,8 +139,8 @@ def test_max_events_budget(engine: Engine) -> None:
 
 
 def test_pending_counts_post_at_events(engine: Engine) -> None:
-    engine.post_at(1.0, lambda: None)
-    engine.post_at(2.0, lambda: None)
+    engine.post1_at(1.0, lambda _: None, None)
+    engine.post1_at(2.0, lambda _: None, None)
     engine.schedule(3.0, lambda: None)
     assert engine.pending == 3
     engine.step()
@@ -205,7 +209,7 @@ def test_compaction_inside_a_running_callback(engine: Engine) -> None:
         assert engine.compactions >= 1
         # Work scheduled *after* the compaction, earlier than the
         # already-queued tail event, must still fire first.
-        engine.post_at(engine.now, fired.append, "posted-after-compact")
+        engine.post1_at(engine.now, fired.append, "posted-after-compact")
 
     for _ in range(200):
         handles.append(engine.schedule(5.0, fired.append, "dead"))
@@ -293,9 +297,9 @@ def test_run_until_idle_swallows_a_stop_request_mid_drain(engine: Engine) -> Non
     assert fired == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_run_until_idle_budget_overrun_is_noticed_once_it_fired(kernel: str) -> None:
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     fired: list[int] = []
     batch = engine.batch_list()
     batch.extend(range(10))
@@ -321,7 +325,7 @@ def test_run_until_idle_within_budget_does_not_raise(engine: Engine) -> None:
 def _fan_out_order(kernel: str) -> list[str]:
     """Batches that post batches and stop mid-way, drained by
     run_until_idle: the fire order must not depend on the kernel."""
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     fired: list[str] = []
 
     def deliver(item: str) -> None:
@@ -347,3 +351,25 @@ def test_run_until_idle_fan_out_order_is_kernel_independent() -> None:
     assert wheel == _fan_out_order("heap")
     assert wheel[:6] == ["a", "b", "c", "ax", "ay", "az"]
     assert len(wheel) == 3 + 9 + 27 + 12
+
+
+# ----------------------------------------------------------------------
+# the engine's internals stay behind its public API
+# ----------------------------------------------------------------------
+
+
+def test_no_module_outside_the_engine_touches_its_private_slots() -> None:
+    """Components schedule through ``schedule*`` / ``post1_at`` /
+    ``post_batch_at`` and read the clock as ``now``.  An ``engine._*``
+    access anywhere else ties that module to one scheduler's layout, and
+    the differential reference would no longer run the same code."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    engine_module = src / "sim" / "engine.py"
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}"
+        for path in sorted(src.rglob("*.py"))
+        if path != engine_module
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"engine\._", line)
+    ]
+    assert offenders == []

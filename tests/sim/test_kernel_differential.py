@@ -1,9 +1,12 @@
-"""Differential tests: the wheel kernel vs the retained heap kernel.
+"""Differential tests: the engine's calendar queue vs the heap reference.
 
 The calendar-queue (timer-wheel) scheduler exists for speed; its contract
 is that speed is the *only* observable difference.  Same seed, same
-workload => bit-identical fire order, answers, and message counts under
-either ``MOARA_SIM_KERNEL``.  These tests drive both kernels through:
+workload => bit-identical fire order, answers, and message counts as the
+single-heap reference in ``tests/sim/heap_engine.py``.  The reference is
+injected by patching the ``Engine`` name that ``MoaraCluster`` builds
+from, so both runs share every line of ``Network`` and above.  These
+tests drive both schedulers through:
 
 * randomized engine workloads (post/schedule/cancel/batch), comparing
   the exact (time, label) fire sequence;
@@ -22,46 +25,16 @@ import random
 
 import pytest
 
+import repro.core.cluster
 from repro.core import MoaraCluster
 from repro.sim import Engine
-from repro.sim.engine import HeapEngine, WheelEngine
 from repro.sim.latency import LANLatencyModel
-
-KERNELS = ("heap", "wheel")
-
-
-# ----------------------------------------------------------------------
-# kernel selection / dispatch
-# ----------------------------------------------------------------------
+from tests.sim.heap_engine import KERNELS
 
 
-def test_default_kernel_is_wheel() -> None:
-    assert Engine().kernel == "wheel"
-    assert isinstance(Engine(), WheelEngine)
-
-
-def test_explicit_kernel_dispatch() -> None:
-    assert isinstance(Engine(kernel="heap"), HeapEngine)
-    assert isinstance(Engine(kernel="wheel"), WheelEngine)
-    assert Engine(kernel="heap").kernel == "heap"
-
-
-def test_env_kernel_selection(monkeypatch) -> None:
-    monkeypatch.setenv("MOARA_SIM_KERNEL", "heap")
-    assert Engine().kernel == "heap"
-    # An explicit constructor argument wins over the environment.
-    assert Engine(kernel="wheel").kernel == "wheel"
-
-
-def test_unknown_kernel_rejected() -> None:
-    with pytest.raises(ValueError):
-        Engine(kernel="splay")
-
-
-def test_cluster_kernel_passthrough() -> None:
-    cluster = MoaraCluster(4, seed=1, kernel="heap")
-    assert cluster.engine.kernel == "heap"
-    assert MoaraCluster(4, seed=1, kernel="wheel").engine.kernel == "wheel"
+def _use_kernel(monkeypatch, kernel: str) -> None:
+    """Make every ``MoaraCluster`` built from here on run on ``kernel``."""
+    monkeypatch.setattr(repro.core.cluster, "Engine", KERNELS[kernel])
 
 
 # ----------------------------------------------------------------------
@@ -74,8 +47,8 @@ def _random_workload(engine: Engine, seed: int) -> list[tuple[float, str]]:
 
     Mixes every scheduling surface: fire-and-forget posts (wheel fifo /
     ring), far-future posts (wheel overflow heap), cancellable handles
-    (heap on both kernels), same-tick batches, and events that schedule
-    more events and cancel others from inside callbacks.
+    (heap on both schedulers), same-tick batches, and events that
+    schedule more events and cancel others from inside callbacks.
     """
     rng = random.Random(seed)
     fired: list[tuple[float, str]] = []
@@ -87,7 +60,7 @@ def _random_workload(engine: Engine, seed: int) -> list[tuple[float, str]]:
         roll = rng.random()
         if roll < 0.25:
             delay = rng.choice([0.0, 0.0003, 0.004, 7.5])
-            engine.post_at(engine.now + delay, note, f"{label}/child")
+            engine.post1_at(engine.now + delay, note, f"{label}/child")
         elif roll < 0.35 and handles:
             handles.pop(rng.randrange(len(handles))).cancel()
 
@@ -95,9 +68,7 @@ def _random_workload(engine: Engine, seed: int) -> list[tuple[float, str]]:
         t = rng.choice([0.0, 0.0001, 0.001, 0.0025, 0.5, 3.0, 50.0])
         t += rng.randrange(4) * 0.001
         kind = rng.random()
-        if kind < 0.4:
-            engine.post_at(t, note, f"p{i}")
-        elif kind < 0.6:
+        if kind < 0.6:
             engine.post1_at(t, note, f"q{i}")
         elif kind < 0.8:
             batch = engine.batch_list()
@@ -113,14 +84,14 @@ def _random_workload(engine: Engine, seed: int) -> list[tuple[float, str]]:
 @pytest.mark.parametrize("seed", [7, 42, 1234])
 def test_random_workload_fires_identically(seed: int) -> None:
     runs = {}
-    for kernel in KERNELS:
-        runs[kernel] = _random_workload(Engine(kernel=kernel), seed)
+    for kernel, cls in KERNELS.items():
+        runs[kernel] = _random_workload(cls(), seed)
     assert runs["wheel"] == runs["heap"]
     assert len(runs["wheel"]) > 300  # children actually spawned
 
 
 def test_identical_event_accounting() -> None:
-    engines = {k: Engine(kernel=k) for k in KERNELS}
+    engines = {k: cls() for k, cls in KERNELS.items()}
     for engine in engines.values():
         _random_workload(engine, seed=99)
     heap, wheel = engines["heap"], engines["wheel"]
@@ -135,34 +106,34 @@ def test_identical_event_accounting() -> None:
 
 
 def test_far_future_overflows_to_heap_and_still_fires() -> None:
-    engine = Engine(kernel="wheel")
+    engine = Engine()
     fired: list[str] = []
     # Far beyond the wheel horizon (2048 buckets * 1ms ~= 2s).
-    engine.post_at(1_000.0, fired.append, "far")
-    engine.post_at(0.5, fired.append, "near")
+    engine.post1_at(1_000.0, fired.append, "far")
+    engine.post1_at(0.5, fired.append, "near")
     engine.run_until_idle()
     assert fired == ["near", "far"]
     assert engine.now == 1_000.0
 
 
 def test_cross_slot_ordering_with_ties() -> None:
-    engine = Engine(kernel="wheel")
+    engine = Engine()
     fired: list[str] = []
     # Same bucket, different times, plus ties inserted out of order.
     for label, t in [("c", 0.0023), ("a", 0.0021), ("b", 0.0021)]:
-        engine.post_at(t, fired.append, label)
+        engine.post1_at(t, fired.append, label)
     engine.run_until_idle()
     assert fired == ["a", "b", "c"]  # time order, then schedule order
 
 
 def test_cursor_reanchors_after_idle_gap() -> None:
-    engine = Engine(kernel="wheel")
+    engine = Engine()
     fired: list[str] = []
-    engine.post_at(0.001, fired.append, "first")
+    engine.post1_at(0.001, fired.append, "first")
     engine.run_until_idle()
     # Way past the original horizon: the wheel must re-anchor, not wrap.
-    engine.post_at(10_000.0, fired.append, "second")
-    engine.post_at(10_000.5, fired.append, "third")
+    engine.post1_at(10_000.0, fired.append, "second")
+    engine.post1_at(10_000.5, fired.append, "third")
     engine.run_until_idle()
     assert fired == ["first", "second", "third"]
     assert engine.now == 10_000.5
@@ -170,7 +141,7 @@ def test_cursor_reanchors_after_idle_gap() -> None:
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_batch_fires_in_insertion_order(kernel: str) -> None:
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     fired: list[str] = []
     batch = engine.batch_list()
     for i in range(5):
@@ -183,7 +154,7 @@ def test_batch_fires_in_insertion_order(kernel: str) -> None:
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_batch_respects_mid_batch_event_budget(kernel: str) -> None:
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     fired: list[str] = []
     batch = engine.batch_list()
     for i in range(6):
@@ -200,7 +171,7 @@ def test_batch_respects_mid_batch_event_budget(kernel: str) -> None:
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_pending_counts_batches_per_item(kernel: str) -> None:
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     batch = engine.batch_list()
     batch.extend(["x", "y", "z"])
     engine.post_batch_at(1.0, lambda _: None, batch)
@@ -210,7 +181,7 @@ def test_pending_counts_batches_per_item(kernel: str) -> None:
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_request_stop_mid_batch(kernel: str) -> None:
-    engine = Engine(kernel=kernel)
+    engine = KERNELS[kernel]()
     fired: list[str] = []
 
     def stopping(label: str) -> None:
@@ -236,8 +207,10 @@ def test_request_stop_mid_batch(kernel: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _cluster_run(kernel: str, latency=None) -> tuple[list, dict, int]:
-    cluster = MoaraCluster(64, seed=11, latency_model=latency, kernel=kernel)
+def _cluster_run(monkeypatch, kernel: str, latency=None) -> tuple[list, dict, int]:
+    _use_kernel(monkeypatch, kernel)
+    cluster = MoaraCluster(64, seed=11, latency_model=latency)
+    assert type(cluster.engine) is KERNELS[kernel]
     rng = random.Random(12)
     for name in ("A", "B"):
         cluster.set_group(name, rng.sample(cluster.node_ids, 12))
@@ -255,18 +228,18 @@ def _cluster_run(kernel: str, latency=None) -> tuple[list, dict, int]:
     return values, snapshot.by_type, cluster.engine.events_processed
 
 
-def test_cluster_differential_zero_latency() -> None:
-    heap = _cluster_run("heap")
-    wheel = _cluster_run("wheel")
+def test_cluster_differential_zero_latency(monkeypatch) -> None:
+    heap = _cluster_run(monkeypatch, "heap")
+    wheel = _cluster_run(monkeypatch, "wheel")
     assert wheel == heap
     assert all(v is not None for v in wheel[0])
 
 
-def test_cluster_differential_lan_latency() -> None:
+def test_cluster_differential_lan_latency(monkeypatch) -> None:
     # LAN exercises the fused arrive+deliver path and non-zero delays
     # (wheel ring + overflow), not just the same-tick FIFO.
-    heap = _cluster_run("heap", latency=LANLatencyModel(seed=5))
-    wheel = _cluster_run("wheel", latency=LANLatencyModel(seed=5))
+    heap = _cluster_run(monkeypatch, "heap", latency=LANLatencyModel(seed=5))
+    wheel = _cluster_run(monkeypatch, "wheel", latency=LANLatencyModel(seed=5))
     assert wheel == heap
 
 
@@ -280,7 +253,7 @@ def _campaign_totals(monkeypatch, name: str, kernel: str) -> dict:
 
     from repro.campaigns import load_campaign, run_campaign
 
-    monkeypatch.setenv("MOARA_SIM_KERNEL", kernel)
+    _use_kernel(monkeypatch, kernel)
     root = Path(__file__).resolve().parents[2]
     spec = load_campaign(root / "campaigns" / f"{name}.yaml")
     report = run_campaign(spec, plane="sim")
@@ -312,6 +285,13 @@ def test_flash_crowd_campaign_differential(monkeypatch) -> None:
 # benchmark-level differential (subprocess: module-scale env knobs)
 # ----------------------------------------------------------------------
 
+#: prepended to a heap-leg snippet: patch the reference in before the
+#: benchmark module builds its first cluster.
+_HEAP_PATCH = (
+    "import repro.core.cluster; from tests.sim.heap_engine import HeapEngine; "
+    "repro.core.cluster.Engine = HeapEngine; "
+)
+
 
 def _bench_subprocess(code: str, kernel: str) -> dict:
     """Run a benchmark snippet in a clean interpreter under one kernel."""
@@ -324,8 +304,9 @@ def _bench_subprocess(code: str, kernel: str) -> dict:
     root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["MOARA_BENCH_TINY"] = "1"
-    env["MOARA_SIM_KERNEL"] = kernel
-    env["PYTHONPATH"] = f"{root / 'src'}:{root / 'benchmarks'}"
+    env["PYTHONPATH"] = f"{root / 'src'}:{root / 'benchmarks'}:{root}"
+    if kernel == "heap":
+        code = _HEAP_PATCH + code
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
