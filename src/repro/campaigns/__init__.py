@@ -19,7 +19,7 @@ from repro.campaigns.driver import CampaignRunner, run_campaign
 from repro.campaigns.oracle import InvariantChecker, values_equal
 from repro.campaigns.planes import (
     CampaignPlane,
-    LoopbackCampaignPlane,
+    LoopbackPlane,
     SimPlane,
     build_plane,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "CampaignSchemaError",
     "CampaignSpec",
     "InvariantChecker",
-    "LoopbackCampaignPlane",
+    "LoopbackPlane",
     "SimPlane",
     "build_plane",
     "campaign_from_dict",

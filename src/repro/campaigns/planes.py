@@ -1,33 +1,37 @@
 """Execution planes: one campaign, two systems under test.
 
 A campaign never talks to :class:`~repro.core.cluster.MoaraCluster` or
-:class:`~repro.serve.transport.LoopbackPlane` directly -- it drives a
-:class:`CampaignPlane`, a small adapter interface both systems satisfy:
+a transport directly -- it drives a :class:`CampaignPlane`, a small
+adapter interface both systems satisfy:
 
 * :class:`SimPlane` -- the in-process simulator with its attached
   front-ends (``MoaraCluster.query_concurrent``).
-* :class:`LoopbackCampaignPlane` -- the *deployed shape*: a
-  frontend-less backend cluster with unmodified front-ends mounted on
-  :class:`~repro.serve.transport.LocalLoopback` transports, the same
+* :class:`LoopbackPlane` -- the *deployed shape*: a frontend-less
+  backend cluster with unmodified front-ends mounted on faultable
+  :class:`~repro.serve.transport.LocalLoopback` links, the same
   topology the socket fleet deploys.
 
-Because the adapter surface is identical, the same campaign YAML runs on
-either plane with ``--plane sim`` / ``--plane loopback``, the invariant
-checker sees the same hooks (live attribute stores, wire stats,
-in-flight tables), and the JSON reports share one schema -- which is
-what lets CI diff the two planes' behaviour on the same scenario.
+Both build their cluster through one constructor, so the same campaign
+YAML runs on either plane with ``--plane sim`` / ``--plane loopback``,
+the invariant checker sees the same hooks (live attribute stores, wire
+stats, in-flight tables), and the JSON reports share one schema --
+which is what lets CI diff the two planes' behaviour on the same
+scenario.  ``docs/CAMPAIGNS.md`` lists the methods a driver may call.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Union
 
+import repro.core.messages as mt
 from repro.core.cluster import MoaraCluster
+from repro.core.errors import QueryTimeoutError
 from repro.core.frontend import Frontend, FrontendConfig
 from repro.core.moara_node import MoaraConfig
 from repro.core.predicates import Predicate
 from repro.core.query import Query, QueryResult
-from repro.serve.transport import LoopbackPlane
+from repro.core.shard_router import canonical_query_text
+from repro.serve.transport import LinkFault, LocalLoopback
 from repro.sim.latency import (
     LANLatencyModel,
     LatencyModel,
@@ -38,7 +42,7 @@ from repro.sim.stats import MessageStats
 
 __all__ = [
     "CampaignPlane",
-    "LoopbackCampaignPlane",
+    "LoopbackPlane",
     "SimPlane",
     "build_plane",
     "make_latency_model",
@@ -63,7 +67,8 @@ class CampaignPlane:
     shared part.  ``self.cluster`` is always the :class:`MoaraCluster`
     holding the monitored agents (on the loopback plane that is the
     frontend-less backend), so membership, attributes, time, and wire
-    stats are uniform across planes.
+    stats are uniform across planes.  Subclasses provide
+    :meth:`query_batch` and a ``frontends`` list.
     """
 
     name = "abstract"
@@ -71,8 +76,23 @@ class CampaignPlane:
     #: chaos (``faults:``); the sim plane's front-ends sit in-process.
     supports_link_faults = False
 
-    def __init__(self, cluster: MoaraCluster) -> None:
-        self.cluster = cluster
+    def __init__(
+        self,
+        num_nodes: int,
+        seed: int = 0,
+        num_frontends: int = 2,
+        latency: str = "zero",
+        config: Optional[MoaraConfig] = None,
+        frontend_config: Optional[FrontendConfig] = None,
+    ) -> None:
+        self.cluster = MoaraCluster(
+            num_nodes,
+            seed=seed,
+            latency_model=make_latency_model(latency, seed=seed),
+            config=config,
+            frontend_config=frontend_config,
+            num_frontends=num_frontends,
+        )
         #: round-robin cursor for standing-query registration, plus the
         #: owning front-end per handle (cancel must go back to the
         #: manager that registered the subscription).
@@ -177,12 +197,9 @@ class CampaignPlane:
         return self.cluster.stats
 
     @property
-    def frontends(self) -> list[Frontend]:
-        raise NotImplementedError
-
-    @property
     def shared_sizes(self):
-        raise NotImplementedError
+        """The cluster-wide group-size tier every front-end reads through."""
+        return self.cluster.shared_sizes
 
     def standing_stats(self) -> dict[str, int]:
         """Plane-wide standing-query counters.
@@ -273,26 +290,6 @@ class SimPlane(CampaignPlane):
 
     name = "sim"
 
-    def __init__(
-        self,
-        num_nodes: int,
-        seed: int = 0,
-        num_frontends: int = 2,
-        latency: str = "zero",
-        config: Optional[MoaraConfig] = None,
-        frontend_config: Optional[FrontendConfig] = None,
-    ) -> None:
-        super().__init__(
-            MoaraCluster(
-                num_nodes,
-                seed=seed,
-                latency_model=make_latency_model(latency, seed=seed),
-                config=config,
-                frontend_config=frontend_config,
-                num_frontends=num_frontends,
-            )
-        )
-
     def query_batch(
         self, queries: list[Union[str, Query]]
     ) -> list[QueryResult]:
@@ -302,13 +299,20 @@ class SimPlane(CampaignPlane):
     def frontends(self) -> list[Frontend]:
         return self.cluster.frontends
 
-    @property
-    def shared_sizes(self):
-        return self.cluster.shared_sizes
 
+class LoopbackPlane(CampaignPlane):
+    """The deployed shape: loopback front-ends over a backend cluster.
 
-class LoopbackCampaignPlane(CampaignPlane):
-    """The deployed shape: loopback front-ends over a backend cluster."""
+    A frontend-less backend cluster with N unmodified
+    :class:`~repro.core.frontend.Frontend` instances, each on its own
+    :class:`~repro.serve.transport.LocalLoopback` link -- the fleet's
+    topology minus the wires, and the reference the socket fleet is
+    tested for equivalence against.  The front-ends read through the
+    backend's own shard router, shared group-size tier and semantic
+    context, which the backend already feeds with overlay churn.  Every
+    link can carry scripted faults; a link with none active is a plain
+    pass-through.
+    """
 
     name = "loopback"
     supports_link_faults = True
@@ -322,55 +326,104 @@ class LoopbackCampaignPlane(CampaignPlane):
         config: Optional[MoaraConfig] = None,
         frontend_config: Optional[FrontendConfig] = None,
     ) -> None:
-        backend = MoaraCluster(
+        if num_frontends < 1:
+            raise ValueError("plane needs at least one front-end")
+        super().__init__(
             num_nodes,
             seed=seed,
-            latency_model=make_latency_model(latency, seed=seed),
+            num_frontends=0,
+            latency=latency,
             config=config,
             frontend_config=frontend_config,
-            num_frontends=0,
         )
-        super().__init__(backend)
-        # Chaos wrappers are always mounted (a ChaosTransport with no
-        # active faults is a pure pass-through), so a campaign may
-        # script faults without rebuilding the plane and fault-free
-        # campaigns stay bit-identical to the unwrapped topology.
-        self.plane = LoopbackPlane(
-            backend,
-            num_frontends=num_frontends,
-            frontend_config=frontend_config,
-            chaos_seed=seed,
-        )
+        backend = self.cluster
+        self.transports: list[LocalLoopback] = []
+        self.frontends: list[Frontend] = []
+        burst_counter = [0]
+        for shard in range(num_frontends):
+            transport = LocalLoopback(
+                backend,
+                node_id=-1 - shard,
+                burst_counter=burst_counter,
+                seed=seed * 1_000_003 + shard,
+            )
+            self.transports.append(transport)
+            self.frontends.append(
+                Frontend(
+                    transport,
+                    backend.overlay,
+                    node_id=-1 - shard,
+                    semantics=backend.semantics,
+                    config=frontend_config,
+                    shard_id=backend.router.add_shard(),
+                    shared_sizes=backend.shared_sizes,
+                )
+            )
 
     def query_batch(
         self, queries: list[Union[str, Query]]
     ) -> list[QueryResult]:
-        return self.plane.query_concurrent(queries)
+        """Submit a batch in one burst (each query to the front-end its
+        shard router names) and drive the plane until every answer is in."""
+        pairs = []
+        for query in queries:
+            shard = self.cluster.router.shard_for(canonical_query_text(query))
+            frontend = self.frontends[shard]
+            pairs.append((frontend, frontend.submit(query)))
+        self._drive(pairs)
+        return [fe.results.pop(qid) for fe, qid in pairs]
 
     def quiesce(self) -> None:
-        """Drain the backend *and* the front-end transports: loopback
-        front-ends only see backend replies when pumped, so interleave
-        until neither side has anything left.  Frames held by a delay
-        fault count as pending — the clock advances to their release
-        instead of declaring the plane idle with work in flight."""
+        """Drain the backend *and* the front-end links until neither side
+        has anything left (frames held by a delay fault included)."""
+        self._drive([])
+
+    def _drive(self, pairs: list[tuple[Frontend, str]]) -> None:
+        """Pump the links until every ``(front-end, qid)`` in ``pairs``
+        has its result -- with no pairs, until the plane is idle.
+
+        Loopback front-ends only see backend replies when pumped, so the
+        loop interleaves the two.  A plane that goes idle while a link
+        still holds delayed frames jumps the clock to their release.  A
+        plane that goes idle with queries still missing resolves them as
+        **explicit NULL failures** (the Section 7 contract) when some
+        link has lost frames, and raises otherwise: without a lost
+        frame, a stuck query is a plane bug, not an injected fault.
+        """
+        stall_fails = 0
         while True:
-            self.cluster.run_until_idle()
-            delivered = sum(t.pump() for t in self.plane.transports)
-            if delivered == 0 and self.cluster.engine.pending == 0:
-                releases = [
-                    release
-                    for t in self.plane.transports
-                    for release in (
-                        getattr(t, "pending_release", lambda: None)(),
-                    )
-                    if release is not None
-                ]
-                if not releases:
-                    return
+            missing = [qid for fe, qid in pairs if qid not in fe.results]
+            if pairs and not missing:
+                return
+            delivered = sum(t.pump() for t in self.transports)
+            if delivered or self.cluster.engine.pending:
+                continue
+            releases = [
+                release
+                for release in (t.pending_release() for t in self.transports)
+                if release is not None
+            ]
+            if releases:
                 self.cluster.engine.run(until=min(releases))
+                continue
+            if not missing:
+                return
+            if stall_fails < 3 and any(t.drops for t in self.transports):
+                # The cascade may take a second pass: NULL-resolved probes
+                # re-dispatch, and the same fault may eat the re-dispatch.
+                for fe in self.frontends:
+                    fe.on_link_failure(
+                        None, "in-flight frames lost to link faults"
+                    )
+                stall_fails += 1
+                continue
+            raise QueryTimeoutError(
+                f"{len(missing)} queries did not complete "
+                f"(loopback plane went idle)"
+            )
 
     def apply_link_fault(self, spec: Any) -> None:
-        """Map one campaign ``faults:`` entry onto the chaos wrappers.
+        """Map one campaign ``faults:`` entry onto the front-end links.
 
         ``spec`` is a :class:`~repro.campaigns.schema.LinkFaultSpec`;
         state faults (drop/delay/duplicate/partition) carry their own
@@ -378,17 +431,15 @@ class LoopbackCampaignPlane(CampaignPlane):
         clear event, and ``reset`` is an instantaneous event with an
         optional dead window.
         """
-        from repro.serve.chaos import LinkFault
-
         if spec.link == "all":
-            targets = list(self.plane.transports)
+            targets = list(self.transports)
         else:
-            if spec.link >= len(self.plane.transports):
+            if spec.link >= len(self.transports):
                 raise ValueError(
                     f"fault names link {spec.link} but the plane has "
-                    f"{len(self.plane.transports)} front-end links"
+                    f"{len(self.transports)} front-end links"
                 )
-            targets = [self.plane.transports[spec.link]]
+            targets = [self.transports[spec.link]]
         for transport in targets:
             if spec.kind == "reset":
                 transport.reset_link(spec.duration)
@@ -404,21 +455,9 @@ class LoopbackCampaignPlane(CampaignPlane):
                 )
 
     def probe_duplicates(self) -> int:
-        import repro.core.messages as mt
-
         return sum(
-            t.dup_counts.get(mt.SIZE_PROBE, 0)
-            for t in self.plane.transports
-            if getattr(t, "is_chaos", False)
+            t.dup_counts.get(mt.SIZE_PROBE, 0) for t in self.transports
         )
-
-    @property
-    def frontends(self) -> list[Frontend]:
-        return self.plane.frontends
-
-    @property
-    def shared_sizes(self):
-        return self.plane.shared_sizes
 
 
 def build_plane(
@@ -431,7 +470,7 @@ def build_plane(
     frontend_config: Optional[FrontendConfig] = None,
 ) -> CampaignPlane:
     """Factory keyed by the CLI's ``--plane`` choice."""
-    planes = {"sim": SimPlane, "loopback": LoopbackCampaignPlane}
+    planes = {"sim": SimPlane, "loopback": LoopbackPlane}
     if plane not in planes:
         raise ValueError(
             f"unknown plane {plane!r}; use one of {sorted(planes)}"

@@ -138,8 +138,8 @@ class FailureSpec:
 class LinkFaultSpec:
     """A transport-level link fault at a phase-relative time.
 
-    Executed by the loopback plane's :class:`~repro.serve.chaos.
-    ChaosTransport` wrappers (the sim plane has no transport links and
+    Executed by the loopback plane's :class:`~repro.serve.transport.
+    LocalLoopback` links (the sim plane has no transport links and
     rejects campaigns that script these).  ``reset`` is an event — the
     link dies now, in-flight work fails, and sends fail fast for
     ``duration`` seconds; the other kinds are a *state* held for

@@ -756,29 +756,7 @@ class Frontend:
         for probe in [
             p for p in self._probes.values() if p.root in left
         ]:
-            del self._probes[probe.tag]
-            if self._probe_by_group.get(probe.key) == probe.tag:
-                del self._probe_by_group[probe.key]
-            if self._shared is not None:
-                # Release cross-shard subscribers with a NULL resolution
-                # (mirrors the local waiters below: no cost learned).
-                for callback in (
-                    self._shared.resolve_probe(probe.key, probe.tag, None, now)
-                    or ()
-                ):
-                    callback(probe.key, None, now)
-            probe_messages = self.network.stats.pop_tag(probe.tag)
-            for qid in probe.waiters:
-                pending = self._pending_queries.get(qid)
-                if pending is None:
-                    continue
-                # No cost learned: choose_cover falls back to the default.
-                pending.needed.discard(probe.key)
-                if qid == probe.initiator:
-                    pending.own_messages += probe_messages
-                if not pending.needed:
-                    pending.probe_latency = now - pending.probe_started
-                    self._finish_planning(pending)
+            self._resolve_lost_probe(probe, now)
         for share in list(self._share_by_id.values()):
             gone = {
                 key
@@ -817,26 +795,7 @@ class Frontend:
             for p in self._probes.values()
             if tags is None or p.tag in tags
         ]:
-            del self._probes[probe.tag]
-            if self._probe_by_group.get(probe.key) == probe.tag:
-                del self._probe_by_group[probe.key]
-            if self._shared is not None:
-                for callback in (
-                    self._shared.resolve_probe(probe.key, probe.tag, None, now)
-                    or ()
-                ):
-                    callback(probe.key, None, now)
-            probe_messages = self.network.stats.pop_tag(probe.tag)
-            for qid in probe.waiters:
-                pending = self._pending_queries.get(qid)
-                if pending is None:
-                    continue
-                pending.needed.discard(probe.key)
-                if qid == probe.initiator:
-                    pending.own_messages += probe_messages
-                if not pending.needed:
-                    pending.probe_latency = now - pending.probe_started
-                    self._finish_planning(pending)
+            self._resolve_lost_probe(probe, now)
         for share in list(self._share_by_id.values()):
             if tags is not None and share.share_id not in tags:
                 continue
@@ -846,3 +805,28 @@ class Frontend:
             share.failure = reason
             share.waiting.clear()
             self._fan_out(share)
+
+    def _resolve_lost_probe(self, probe: _ProbeInFlight, now: float) -> None:
+        """NULL-resolve one probe whose answer will never arrive: forget
+        it, release cross-shard subscribers with no cost learned, and let
+        its waiting queries plan with the default cover cost."""
+        del self._probes[probe.tag]
+        if self._probe_by_group.get(probe.key) == probe.tag:
+            del self._probe_by_group[probe.key]
+        if self._shared is not None:
+            for callback in (
+                self._shared.resolve_probe(probe.key, probe.tag, None, now)
+                or ()
+            ):
+                callback(probe.key, None, now)
+        probe_messages = self.network.stats.pop_tag(probe.tag)
+        for qid in probe.waiters:
+            pending = self._pending_queries.get(qid)
+            if pending is None:
+                continue
+            pending.needed.discard(probe.key)
+            if qid == probe.initiator:
+                pending.own_messages += probe_messages
+            if not pending.needed:
+                pending.probe_latency = now - pending.probe_started
+                self._finish_planning(pending)

@@ -27,7 +27,8 @@ boundary).  The fleet has four process roles:
 (:mod:`repro.serve.__main__`); :mod:`repro.serve.fleet` boots the whole
 fleet from one call (a forked process per front-end) for tests and CI;
 :class:`repro.serve.transport.LocalLoopback` runs a deployed-shape
-front-end with no sockets at all.
+front-end with no sockets at all, and can fault its own link on script
+(:class:`repro.campaigns.planes.LoopbackPlane` assembles N of them).
 """
 
 from repro.serve.cache_service import CacheService, RemoteSizeTier
@@ -35,14 +36,13 @@ from repro.serve.fleet import Fleet
 from repro.serve.frontend_server import FrontendServer
 from repro.serve.overlay_service import OverlayService
 from repro.serve.ring_daemon import RingClient, RingDaemon
-from repro.serve.transport import LocalLoopback, LoopbackPlane, RemoteNetwork
+from repro.serve.transport import LocalLoopback, RemoteNetwork
 
 __all__ = [
     "CacheService",
     "Fleet",
     "FrontendServer",
     "LocalLoopback",
-    "LoopbackPlane",
     "OverlayService",
     "RemoteNetwork",
     "RemoteSizeTier",

@@ -16,29 +16,27 @@ Two implementations, both of which run an **unmodified**
   :class:`~repro.core.cluster.MoaraCluster` in the same process.
   Delivery is *deferred* (inbound messages queue until :meth:`~
   LocalLoopback.pump`), which reproduces the event-loop's
-  never-re-entrant delivery discipline deterministically — this is the
-  transport the equivalence tests drive.
+  never-re-entrant delivery discipline deterministically.  The link
+  also carries scripted faults (:class:`LinkFault`: drop, delay,
+  duplicate, partition, reset), seeded so a faulted run replays
+  bit-identically.
 
-:class:`LoopbackPlane` assembles N loopback front-ends plus the
-in-process :class:`~repro.core.plan_cache.SharedGroupSizeCache` tier
-into a full deployed-shape query plane in one process.
+:class:`repro.campaigns.planes.LoopbackPlane` assembles N loopback
+front-ends over one backend into the full deployed-shape query plane.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import heapq
+import itertools
+import random
 import time
-from typing import Any, Callable, Iterator, Optional, Union
+from collections import Counter
+from typing import Any, Callable, Iterator, Optional
 
-from repro.core.adaptive_ttl import AdaptiveTTL
 from repro.core.cluster import MoaraCluster
-from repro.core.errors import QueryTimeoutError
-from repro.core.frontend import Frontend, FrontendConfig, ProbePolicy
-from repro.core.plan_cache import SharedGroupSizeCache
-from repro.core.planner import SemanticContext
-from repro.core.query import Query, QueryResult
-from repro.core.shard_router import FrontendShardRouter, canonical_query_text
 from repro.pastry.idspace import IdSpace
 from repro.pastry.overlay import Overlay
 from repro.serve.protocol import encode_frame, read_frame
@@ -47,8 +45,8 @@ from repro.sim.network import Message
 from repro.sim.stats import MessageStats
 
 __all__ = [
+    "LinkFault",
     "LocalLoopback",
-    "LoopbackPlane",
     "OverlayMirror",
     "RemoteNetwork",
 ]
@@ -466,17 +464,41 @@ class RemoteNetwork:
                 pass
 
 
-class _LoopbackProxy:
-    """The front-end's stand-in on the backend's simulated network."""
+#: link fault kinds, in the order they are consulted per frame (a reset
+#: window preempts everything; a partition/drop eats the frame before
+#: delay or duplicate get a say).
+FAULT_KINDS = ("reset", "partition", "drop", "delay", "duplicate")
+DIRECTIONS = ("outbound", "inbound", "both")
 
-    __slots__ = ("node_id", "events")
 
-    def __init__(self, node_id: int, events: list) -> None:
-        self.node_id = node_id
-        self.events = events
+class LinkFault:
+    """One active fault on one direction of one loopback link."""
 
-    def handle_message(self, message: Message) -> None:
-        self.events.append(("wire", message))
+    __slots__ = ("kind", "direction", "p", "delay", "until")
+
+    def __init__(
+        self,
+        kind: str,
+        direction: str = "both",
+        p: float = 1.0,
+        delay: float = 0.0,
+        until: Optional[float] = None,
+    ) -> None:
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}")
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown fault direction {direction!r}")
+        self.kind = kind
+        self.direction = direction
+        self.p = p
+        self.delay = delay
+        #: plane-time expiry; None = active for the life of the link
+        self.until = until
+
+    def matches(self, direction: str, now: float) -> bool:
+        if self.until is not None and now >= self.until:
+            return False
+        return self.direction in (direction, "both")
 
 
 class LocalLoopback:
@@ -486,8 +508,24 @@ class LocalLoopback:
     :class:`RemoteNetwork` — sends are counted in a private ledger and
     *queued*, inbound delivery happens strictly between bursts — but the
     "wire" is a list and the "overlay service" is the backend cluster in
-    the same process.  Drive it with :meth:`pump` (or use
-    :class:`LoopbackPlane`, which does).
+    the same process.  The link attaches itself to the backend network
+    under the front-end's id and queues what arrives; :meth:`pump`
+    delivers it (or use :class:`repro.campaigns.planes.LoopbackPlane`,
+    which does).
+
+    The link can also misbehave like a real overlay link under a
+    scripted fault (:meth:`inject` / :meth:`reset_link`): frames are
+    dropped, delayed, duplicated, one-way partitioned, or the whole link
+    is reset mid-flight.  Faults are deterministic from ``seed`` (one
+    private ``random.Random`` per link, consulted in frame order), and a
+    link with no active fault draws no random numbers.  Outbound, a send
+    during a reset window *fails fast* — the affected query resolves
+    NULL via :meth:`repro.core.frontend.Frontend.on_link_failure`, the
+    dead-socket behaviour of :class:`RemoteNetwork` — while a partition
+    eats the frame silently (the sender cannot tell).  Held (delayed)
+    frames release on the backend's simulated clock during :meth:`pump`;
+    :meth:`pending_release` lets a driver advance the clock to the next
+    release instead of declaring the plane stuck.
     """
 
     def __init__(
@@ -495,6 +533,7 @@ class LocalLoopback:
         backend: MoaraCluster,
         node_id: int,
         burst_counter: Optional[list[int]] = None,
+        seed: int = 0,
     ) -> None:
         self.backend = backend
         self.node_id = node_id
@@ -506,8 +545,22 @@ class LocalLoopback:
         #: the loopback analog of the engine's global event count.
         self._burst = burst_counter if burst_counter is not None else [0]
         self._events: list[tuple] = []
-        self._proxy = _LoopbackProxy(node_id, self._events)
-        backend.network.attach(self._proxy)
+        self._rng = random.Random(seed)
+        self._faults: list[LinkFault] = []
+        self._dead_until = float("-inf")
+        self._seq = itertools.count()
+        #: held (delayed) frames: (release_at, seq, direction, item)
+        self._held: list[tuple] = []
+        #: queued NULL-resolutions delivered on the next pump, so a send
+        #: failing mid-``submit`` never re-enters the front-end
+        self._pending_failures: list[tuple[Optional[set], str]] = []
+        #: extra copies injected per message type (the probe-budget
+        #: oracle subtracts these: a duplicated SIZE_PROBE is the wire's
+        #: doing, not a front-end regression)
+        self.dup_counts: Counter = Counter()
+        self.drops = 0
+        self.resets = 0
+        backend.network.attach(self)
         backend.overlay.add_listener(self._queue_membership)
 
     # -- FrontendTransport seam ---------------------------------------
@@ -525,7 +578,32 @@ class LocalLoopback:
         if payload is None:
             payload = {}
         _count_send(self.stats, src, dst, mtype, payload)
+        now = self.now
+        if now < self._dead_until:
+            # Reset window: the socket is gone, the sender *knows* — the
+            # affected query fails fast instead of waiting out a timeout.
+            self.stats.record_drop()
+            self.stats.link_send_failures += 1
+            self.drops += 1
+            tag = payload.get("qid") or payload.get("probe_id")
+            if tag is not None:
+                self._pending_failures.append(({tag}, "link reset"))
+            return
+        fate, delay = self._fate("outbound", now)
+        if fate == "drop":
+            self.stats.record_drop()
+            self.drops += 1
+            return
+        if fate == "delay":
+            heapq.heappush(
+                self._held,
+                (now + delay, next(self._seq), "out", (src, dst, mtype, payload)),
+            )
+            return
         self.backend.network.send(src, dst, mtype, payload)
+        if fate == "duplicate":
+            self.dup_counts[mtype] += 1
+            self.backend.network.send(src, dst, mtype, payload)
 
     @property
     def now(self) -> float:
@@ -540,20 +618,96 @@ class LocalLoopback:
         # being joinable, matching the simulated plane's global rule.
         return self._burst[0] + self.backend.engine.events_processed
 
+    # -- fault scripting ----------------------------------------------
+
+    def inject(self, fault: LinkFault) -> None:
+        """Activate a drop/delay/duplicate/partition fault until its
+        ``until``; ``reset`` faults go through :meth:`reset_link` (they
+        are an event, not a state)."""
+        if fault.kind == "reset":
+            self.reset_link(
+                0.0 if fault.until is None else max(0.0, fault.until - self.now)
+            )
+        else:
+            self._faults.append(fault)
+
+    def reset_link(self, duration: float = 0.0) -> None:
+        """Kill the link now: every held frame is lost, everything in
+        flight fails (NULL resolution), and for ``duration`` seconds
+        further sends fail fast — the loopback analog of a TCP RST
+        followed by :class:`RemoteNetwork`'s reconnect window."""
+        self.resets += 1
+        lost = len(self._held)
+        self._held.clear()
+        self.drops += lost
+        for _ in range(lost):
+            self.stats.record_drop()
+        self._dead_until = max(self._dead_until, self.now + duration)
+        self._pending_failures.append((None, "link reset"))
+
+    def _fate(self, direction: str, now: float) -> tuple[str, float]:
+        """Decide one frame's fate from the active faults (first match
+        in FAULT_KINDS order wins; duplicate composes with delivery)."""
+        self._faults = [
+            f for f in self._faults if f.until is None or now < f.until
+        ]
+        for kind in ("partition", "drop"):
+            for fault in self._faults:
+                if fault.kind == kind and fault.matches(direction, now):
+                    if kind == "partition" or self._rng.random() < fault.p:
+                        return "drop", 0.0
+        for fault in self._faults:
+            if fault.kind == "delay" and fault.matches(direction, now):
+                if self._rng.random() < fault.p:
+                    return "delay", fault.delay
+        for fault in self._faults:
+            if fault.kind == "duplicate" and fault.matches(direction, now):
+                if self._rng.random() < fault.p:
+                    return "duplicate", 0.0
+        return "deliver", 0.0
+
     # -- delivery ------------------------------------------------------
 
+    def handle_message(self, message: Message) -> None:
+        """Backend-side arrival: queue the frame for the next pump."""
+        self._events.append(("wire", message))
+
     def _queue_membership(self, joined: set[int], left: set[int]) -> None:
+        # Control plane: membership deltas model the overlay service's
+        # push stream, which link faults do not script.
         self._events.append(("members", set(joined), set(left)))
 
-    def pump(self, drain_backend: bool = True) -> int:
-        """Deliver queued inbound events to the front-end.
+    def _receive(self, message: Message) -> None:
+        """Apply the inbound faults to one frame, then deliver it."""
+        now = self.now
+        if now < self._dead_until:
+            self.stats.record_drop()
+            self.drops += 1
+            return
+        fate, delay = self._fate("inbound", now)
+        if fate == "drop":
+            self.stats.record_drop()
+            self.drops += 1
+            return
+        if fate == "delay":
+            heapq.heappush(
+                self._held, (now + delay, next(self._seq), "in", message)
+            )
+            return
+        self._frontend.handle_message(message)
+        if fate == "duplicate":
+            self.dup_counts[message.mtype] += 1
+            self._frontend.handle_message(message)
 
-        Returns the number of events delivered.  ``drain_backend`` first
-        runs the backend engine until idle, so queued sends turn into
-        queued responses.
-        """
-        if drain_backend:
-            self.backend.run_until_idle()
+    def pending_release(self) -> Optional[float]:
+        """Earliest held-frame release time (None when nothing is held)."""
+        return self._held[0][0] if self._held else None
+
+    def pump(self) -> int:
+        """Run the backend engine until idle, then deliver the queued
+        inbound events, the held frames now due, and the queued link
+        failures.  Returns the number delivered (the activity signal)."""
+        self.backend.run_until_idle()
         delivered = 0
         while self._events:
             event = self._events.pop(0)
@@ -562,154 +716,20 @@ class LocalLoopback:
             if self._frontend is None:
                 continue
             if event[0] == "wire":
-                self._frontend.handle_message(event[1])
+                self._receive(event[1])
             else:
                 self._frontend.on_membership_change(event[1], event[2])
+        now = self.now
+        while self._held and self._held[0][0] <= now:
+            _, _, direction, item = heapq.heappop(self._held)
+            delivered += 1
+            if direction == "out":
+                self.backend.network.send(*item)
+            else:
+                self._frontend.handle_message(item)
+        while self._pending_failures:
+            tags, reason = self._pending_failures.pop(0)
+            delivered += 1
+            if self._frontend is not None:
+                self._frontend.on_link_failure(tags, reason)
         return delivered
-
-    def close(self) -> None:
-        self.backend.network.detach(self.node_id)
-
-
-class LoopbackPlane:
-    """The whole deployed query plane in one process, with no sockets.
-
-    N unmodified :class:`~repro.core.frontend.Frontend` instances on
-    :class:`LocalLoopback` transports over one frontend-less backend
-    cluster, sharing an in-process
-    :class:`~repro.core.plan_cache.SharedGroupSizeCache` tier keyed by a
-    :class:`~repro.core.shard_router.FrontendShardRouter` — the fleet's
-    topology minus the wires.  This is the default, dependency-free way
-    to run the deployed shape (the cache *service* is opt-in), and the
-    reference the socket fleet is tested for equivalence against.
-    """
-
-    def __init__(
-        self,
-        backend: MoaraCluster,
-        num_frontends: int = 2,
-        frontend_config: Optional[FrontendConfig] = None,
-        probe_policy: ProbePolicy = ProbePolicy.COMPOSITE,
-        shared_size_cache: bool = True,
-        chaos_seed: Optional[int] = None,
-    ) -> None:
-        if num_frontends < 1:
-            raise ValueError("plane needs at least one front-end")
-        self.backend = backend
-        self.router = FrontendShardRouter(num_frontends)
-        self.semantics = SemanticContext()
-        fc = frontend_config or FrontendConfig()
-        self.shared_sizes: Optional[SharedGroupSizeCache] = None
-        if shared_size_cache:
-            ttl_policy = AdaptiveTTL.if_enabled(
-                fc.adaptive_size_ttl,
-                fc.size_cache_ttl_min,
-                fc.size_cache_ttl,
-                fc.churn_window,
-            )
-            self.shared_sizes = SharedGroupSizeCache(
-                router=self.router,
-                ttl=fc.size_cache_ttl,
-                ttl_policy=ttl_policy,
-            )
-            backend.overlay.add_listener(self._feed_tier_churn)
-        self.transports: list[Any] = []
-        self.frontends: list[Frontend] = []
-        burst_counter = [0]
-        for shard in range(num_frontends):
-            transport: Any = LocalLoopback(
-                backend, node_id=-1 - shard, burst_counter=burst_counter
-            )
-            if chaos_seed is not None:
-                # Deferred import: chaos wraps this module's transports.
-                from repro.serve.chaos import ChaosTransport
-
-                transport = ChaosTransport(
-                    transport, seed=chaos_seed * 1_000_003 + shard
-                )
-            frontend = Frontend(
-                transport,
-                backend.overlay,
-                node_id=-1 - shard,
-                probe_policy=probe_policy,
-                semantics=self.semantics,
-                config=frontend_config,
-                shard_id=shard,
-                shared_sizes=self.shared_sizes,
-            )
-            self.transports.append(transport)
-            self.frontends.append(frontend)
-
-    def _feed_tier_churn(self, joined: set[int], left: set[int]) -> None:
-        if (joined or left) and self.shared_sizes is not None:
-            self.shared_sizes.on_membership_change(self.backend.engine.now)
-
-    def route(self, query: Union[str, Query]) -> int:
-        return self.router.shard_for(canonical_query_text(query))
-
-    def query(self, query: Union[str, Query]) -> QueryResult:
-        """Submit through the shard router and drive to completion."""
-        return self.query_concurrent([query])[0]
-
-    def query_concurrent(
-        self, queries: list[Union[str, Query]], max_pumps: int = 10_000
-    ) -> list[QueryResult]:
-        """Submit a batch in one burst and pump the plane until done.
-
-        Under chaos (``chaos_seed`` set and link faults active), frames
-        may be held back or lost; a plane that goes idle with queries
-        outstanding first advances the clock to the next scheduled
-        chaos release, and — when nothing is pending anywhere — resolves
-        the stuck queries as **explicit NULL failures** (the Section 7
-        contract) instead of raising: slow or failed, never silently
-        hung.  Without chaos, idle-with-missing is still a hard error
-        (it means a plane bug, not an injected fault).
-        """
-        submitted = [
-            (self.frontends[self.route(query)], query) for query in queries
-        ]
-        pairs = [(fe, fe.submit(query)) for fe, query in submitted]
-        chaos = any(getattr(t, "is_chaos", False) for t in self.transports)
-        stall_fails = 0
-        for _ in range(max_pumps):
-            if all(qid in fe.results for fe, qid in pairs):
-                return [fe.results.pop(qid) for fe, qid in pairs]
-            delivered = sum(t.pump() for t in self.transports)
-            if delivered == 0 and self.backend.engine.pending == 0:
-                release = min(
-                    (
-                        r
-                        for r in (
-                            getattr(t, "pending_release", lambda: None)()
-                            for t in self.transports
-                        )
-                        if r is not None
-                    ),
-                    default=None,
-                )
-                if release is not None:
-                    # Chaos is holding frames: jump to their release time.
-                    self.backend.engine.run(until=release)
-                    continue
-                missing = [
-                    qid for fe, qid in pairs if qid not in fe.results
-                ]
-                if not missing:
-                    continue
-                if chaos and stall_fails < 3:
-                    # In-flight frames died to injected faults: fail the
-                    # remaining work explicitly (NULL resolution).  The
-                    # cascade may take a second pass (NULL-resolved
-                    # probes re-dispatch, the re-dispatch may be eaten
-                    # by the same fault), hence the small retry budget.
-                    for fe in self.frontends:
-                        fe.on_link_failure(
-                            None, "in-flight frames lost to link faults"
-                        )
-                    stall_fails += 1
-                    continue
-                raise QueryTimeoutError(
-                    f"{len(missing)} queries did not complete "
-                    f"(loopback plane went idle)"
-                )
-        raise QueryTimeoutError("loopback plane did not converge")

@@ -101,6 +101,53 @@ def test_run_campaign_cli_writes_report(tmp_path: Path) -> None:
     assert "status   : OK" in proc.stdout
 
 
+def _campaign_planes() -> list:
+    """Every committed campaign on every plane it runs on (the sim plane
+    refuses campaigns that script link faults)."""
+    pairs = []
+    for path in sorted((REPO / "campaigns").glob("*.yaml")):
+        spec = load_campaign(path)
+        faults = any(phase.faults for phase in spec.phases)
+        for plane in ("loopback",) if faults else ("sim", "loopback"):
+            pairs.append(pytest.param(path, plane, id=f"{path.stem}-{plane}"))
+    return pairs
+
+
+@pytest.mark.parametrize(("campaign", "plane"), _campaign_planes())
+def test_reports_identical_across_processes_and_hash_seeds(
+    campaign: Path, plane: str, tmp_path: Path
+) -> None:
+    # Same seed => same report, from two fresh interpreters whose
+    # str/bytes hashing differs: no set or dict iteration order may leak
+    # into what a campaign measures.
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(
+            os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=hash_seed
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(REPO / "scripts" / "run_campaign.py"),
+                str(campaign),
+                "--plane",
+                plane,
+                "--out",
+                str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        reports.append(
+            json.dumps(_strip_wall(json.loads(out.read_text())), sort_keys=True)
+        )
+    assert reports[0] == reports[1]
+
+
 # ----------------------------------------------------------------------
 # mutation checks: injected faults must be caught
 # ----------------------------------------------------------------------

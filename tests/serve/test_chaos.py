@@ -1,4 +1,4 @@
-"""ChaosTransport: scripted link faults on the loopback plane.
+"""Scripted link faults on the loopback plane's LocalLoopback links.
 
 The contract under chaos (the same one the ``chaos_links`` campaign's
 oracle enforces): the plane may answer slowly or return **explicitly
@@ -13,22 +13,34 @@ from __future__ import annotations
 
 import json
 
+from repro.campaigns.planes import LoopbackPlane
 from repro.core.cluster import MoaraCluster
-from repro.serve.chaos import ChaosTransport, LinkFault
-from repro.serve.transport import LoopbackPlane, RemoteNetwork
+from repro.core.shard_router import canonical_query_text
+from repro.serve.transport import LinkFault, RemoteNetwork
 from repro.sim import network as simnet
 
+NODES = 60
 
-def _backend(seed: int = 11, nodes: int = 60) -> MoaraCluster:
-    cluster = MoaraCluster(num_nodes=nodes, num_frontends=0, seed=seed)
+
+def _groups(cluster: MoaraCluster) -> MoaraCluster:
     ids = cluster.overlay.node_ids
-    cluster.set_group("web", ids[: nodes // 4])
+    cluster.set_group("web", ids[: NODES // 4])
     cluster.set_attribute_all("load", 3.0)
     return cluster
 
 
-def _chaos_plane(seed: int = 5, **kw) -> LoopbackPlane:
-    return LoopbackPlane(_backend(**kw), num_frontends=2, chaos_seed=seed)
+def _plane(seed: int = 11) -> LoopbackPlane:
+    plane = LoopbackPlane(NODES, seed=seed, num_frontends=2)
+    _groups(plane.cluster)
+    return plane
+
+
+def _ask(plane: LoopbackPlane, query: str):
+    return plane.query_batch([query])[0]
+
+
+def _route(plane: LoopbackPlane, query: str) -> int:
+    return plane.cluster.router.shard_for(canonical_query_text(query))
 
 
 QUERY = "SELECT COUNT(*) WHERE web = true"
@@ -36,37 +48,40 @@ AVG = "SELECT AVG(load) WHERE web = true"
 
 
 def test_chaos_wrappers_are_transparent_without_faults() -> None:
-    plain = LoopbackPlane(_backend(), num_frontends=2)
-    chaos = _chaos_plane()
-    assert all(isinstance(t, ChaosTransport) for t in chaos.transports)
+    # Every plane link accepts scripted faults, and one with none active
+    # draws no random numbers and answers exactly as the simulated
+    # plane's in-process front-ends do.
+    sim = _groups(MoaraCluster(num_nodes=NODES, num_frontends=2, seed=11))
+    plane = _plane()
+    assert all(callable(t.inject) for t in plane.transports)
+    rng_states = [t._rng.getstate() for t in plane.transports]
     for query in (QUERY, AVG):
-        a, b = plain.query(query), chaos.query(query)
+        a, b = sim.query(query), _ask(plane, query)
         assert json.dumps(a.value) == json.dumps(b.value)
         assert a.cover == b.cover
         assert not b.failed
+    assert [t._rng.getstate() for t in plane.transports] == rng_states
 
 
 def test_delay_fault_answers_slowly_but_correctly() -> None:
-    reference = LoopbackPlane(_backend(), num_frontends=2).query(QUERY)
-    plane = _chaos_plane()
-    t0 = plane.backend.engine.now
+    reference = _ask(_plane(), QUERY)
+    plane = _plane()
+    t0 = plane.now
     for transport in plane.transports:
-        transport.inject(
-            LinkFault("delay", delay=0.5, until=plane.backend.engine.now + 60)
-        )
-    result = plane.query(QUERY)
+        transport.inject(LinkFault("delay", delay=0.5, until=plane.now + 60))
+    result = _ask(plane, QUERY)
     assert not result.failed
     assert result.value == reference.value
     # The held frames forced the plane clock forward by at least one
     # round-trip's worth of injected latency.
-    assert plane.backend.engine.now >= t0 + 0.5
+    assert plane.now >= t0 + 0.5
 
 
 def test_drop_fault_fails_explicitly_instead_of_hanging() -> None:
-    plane = _chaos_plane()
+    plane = _plane()
     for transport in plane.transports:
         transport.inject(LinkFault("drop", p=1.0, direction="outbound"))
-    result = plane.query(QUERY)
+    result = _ask(plane, QUERY)
     assert result.failed
     # NULL resolution, not a fabricated answer: nothing contributed.
     assert result.contributors == 0
@@ -75,12 +90,12 @@ def test_drop_fault_fails_explicitly_instead_of_hanging() -> None:
 
 
 def test_inbound_partition_eats_responses_and_fails_the_query() -> None:
-    plane = _chaos_plane()
+    plane = _plane()
     for transport in plane.transports:
         transport.inject(LinkFault("partition", direction="inbound"))
     # Requests go out, every response is eaten: the query must resolve
     # as an explicit failure once the plane goes idle — never hang.
-    result = plane.query(QUERY)
+    result = _ask(plane, QUERY)
     assert result.failed
 
 
@@ -88,8 +103,8 @@ def test_reset_kills_in_flight_work_mid_query() -> None:
     # The transport.py satellite pin: a query whose frames are already
     # on the wire when the link dies resolves NULL *now*.  Delay holds
     # the outbound frames in flight; the reset then eats them.
-    plane = _chaos_plane()
-    shard = plane.route(QUERY)
+    plane = _plane()
+    shard = _route(plane, QUERY)
     transport = plane.transports[shard]
     transport.inject(LinkFault("delay", delay=5.0, direction="outbound"))
     frontend = plane.frontends[shard]
@@ -104,54 +119,50 @@ def test_reset_kills_in_flight_work_mid_query() -> None:
 
 
 def test_send_during_reset_window_fails_fast() -> None:
-    plane = _chaos_plane()
-    shard = plane.route(QUERY)
+    plane = _plane()
+    shard = _route(plane, QUERY)
     transport = plane.transports[shard]
     transport.reset_link(duration=30.0)
     transport.pump()  # flush the reset's own failure event
-    result = plane.query(QUERY)
+    result = _ask(plane, QUERY)
     assert result.failed
     assert transport.stats.link_send_failures > 0
 
 
 def test_duplicate_fault_keeps_answers_correct_and_is_accounted() -> None:
-    reference = LoopbackPlane(_backend(), num_frontends=2).query(AVG)
-    plane = _chaos_plane()
+    reference = _ask(_plane(), AVG)
+    plane = _plane()
     for transport in plane.transports:
         transport.inject(LinkFault("duplicate", p=1.0))
-    result = plane.query(AVG)
+    result = _ask(plane, AVG)
     assert not result.failed
     assert json.dumps(result.value) == json.dumps(reference.value)
     # The wire made copies and owned up to them (the probe-budget oracle
     # subtracts exactly these counts).
-    assert sum(
-        sum(t.dup_counts.values()) for t in plane.transports
-    ) > 0
+    assert sum(sum(t.dup_counts.values()) for t in plane.transports) > 0
 
 
 def test_faults_expire_and_the_link_heals() -> None:
-    plane = _chaos_plane()
-    transport = plane.transports[plane.route(QUERY)]
-    transport.inject(
-        LinkFault("drop", p=1.0, until=plane.backend.engine.now + 1.0)
-    )
-    first = plane.query(QUERY)
+    plane = _plane()
+    transport = plane.transports[_route(plane, QUERY)]
+    transport.inject(LinkFault("drop", p=1.0, until=plane.now + 1.0))
+    first = _ask(plane, QUERY)
     assert first.failed
-    plane.backend.engine.run(until=plane.backend.engine.now + 2.0)
-    healed = plane.query(QUERY)
+    plane.advance(2.0)
+    healed = _ask(plane, QUERY)
     assert not healed.failed
-    reference = LoopbackPlane(_backend(), num_frontends=2).query(QUERY)
+    reference = _ask(_plane(), QUERY)
     assert healed.value == reference.value
 
 
 def test_chaos_is_deterministic_from_its_seed() -> None:
     def run(seed: int) -> list[tuple[bool, object]]:
-        plane = _chaos_plane(seed=seed)
+        plane = _plane(seed=seed)
         for transport in plane.transports:
             transport.inject(LinkFault("drop", p=0.5))
         out = []
         for _ in range(6):
-            r = plane.query(QUERY)
+            r = _ask(plane, QUERY)
             out.append((r.failed, r.value))
         return out
 
@@ -159,7 +170,7 @@ def test_chaos_is_deterministic_from_its_seed() -> None:
 
 
 def test_chaos_transport_satisfies_the_frontend_seam() -> None:
-    plane = _chaos_plane()
+    plane = _plane()
     for transport in plane.transports:
         assert isinstance(transport, simnet.FrontendTransport)
 

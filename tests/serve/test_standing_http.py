@@ -13,9 +13,8 @@ import json
 
 import pytest
 
-from repro.core.cluster import MoaraCluster
+from repro.campaigns.planes import LoopbackPlane
 from repro.serve.frontend_server import FrontendServer
-from repro.serve.transport import LoopbackPlane
 
 NUM_NODES = 24
 
@@ -28,12 +27,12 @@ class _Wire:
 
 @pytest.fixture
 def plane():
-    backend = MoaraCluster(NUM_NODES, seed=13, num_frontends=0)
-    for index, node_id in enumerate(backend.node_ids):
-        backend.set_attribute(node_id, "load", float(index % 8))
-        backend.set_attribute(node_id, "svc", index % 3 == 0)
-    backend.run_until_idle()
-    return LoopbackPlane(backend, num_frontends=1)
+    plane = LoopbackPlane(NUM_NODES, seed=13, num_frontends=1)
+    for index, node_id in enumerate(plane.node_ids):
+        plane.set_attribute(node_id, "load", float(index % 8))
+        plane.set_attribute(node_id, "svc", index % 3 == 0)
+    plane.quiesce()
+    return plane
 
 
 @pytest.fixture
@@ -42,14 +41,6 @@ def server(plane):
     server.frontend = plane.frontends[0]
     server.network = _Wire()
     return server
-
-
-def _quiesce(plane) -> None:
-    while True:
-        plane.backend.run_until_idle()
-        if sum(t.pump() for t in plane.transports) == 0:
-            if plane.backend.engine.pending == 0:
-                return
 
 
 def _dispatch(server, method, path, body=b""):
@@ -70,7 +61,7 @@ def _subscribe(server, text, lease=0.0):
 def test_subscribe_then_poll_updates(server, plane) -> None:
     sub = _subscribe(server, "SELECT COUNT(*) WHERE svc = true")
     assert sub["sid"] and sub["cover"] and not sub["static"]
-    _quiesce(plane)
+    plane.quiesce()
     status, payload = _dispatch(
         server, "GET", f"/subscriptions/{sub['sid']}/updates"
     )
@@ -84,7 +75,7 @@ def test_subscribe_then_poll_updates(server, plane) -> None:
 
 def test_updates_since_is_a_cursor(server, plane) -> None:
     sub = _subscribe(server, "SELECT SUM(load) WHERE svc = true")
-    _quiesce(plane)
+    plane.quiesce()
     _, page1 = _dispatch(
         server, "GET", f"/subscriptions/{sub['sid']}/updates"
     )
@@ -94,9 +85,9 @@ def test_updates_since_is_a_cursor(server, plane) -> None:
     )
     assert page2["updates"] == []
     # New deltas advance the stream past the cursor.
-    for node_id in plane.backend.node_ids[:3]:
-        plane.backend.set_attribute(node_id, "load", 7.0)
-    _quiesce(plane)
+    for node_id in plane.node_ids[:3]:
+        plane.set_attribute(node_id, "load", 7.0)
+    plane.quiesce()
     _, page3 = _dispatch(
         server, "GET", f"/subscriptions/{sub['sid']}/updates?since={cursor}"
     )
@@ -107,15 +98,15 @@ def test_updates_since_is_a_cursor(server, plane) -> None:
 
 def test_unsubscribe_cancels_and_forgets(server, plane) -> None:
     sub = _subscribe(server, "SELECT COUNT(*) WHERE svc = true")
-    _quiesce(plane)
+    plane.quiesce()
     status, payload = _dispatch(
         server, "DELETE", f"/subscriptions/{sub['sid']}"
     )
     assert status == 200 and payload["cancelled"]
-    _quiesce(plane)
+    plane.quiesce()
     assert all(
         len(node.standing) == 0
-        for node in plane.backend.nodes.values()
+        for node in plane.cluster.nodes.values()
     )
     status, _ = _dispatch(server, "GET", f"/subscriptions/{sub['sid']}/updates")
     assert status == 404
@@ -123,7 +114,7 @@ def test_unsubscribe_cancels_and_forgets(server, plane) -> None:
 
 def test_renew_endpoint(server, plane) -> None:
     sub = _subscribe(server, "SELECT COUNT(*) WHERE svc = true", lease=30.0)
-    _quiesce(plane)
+    plane.quiesce()
     status, payload = _dispatch(
         server,
         "POST",
