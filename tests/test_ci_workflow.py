@@ -62,3 +62,14 @@ def test_path_pattern_reads_folded_commands() -> None:
         "benchmarks/bench_scale.py",
         "benchmarks/ledger/run.py",
     ]
+
+
+def test_every_figure_bench_is_run_by_some_job() -> None:
+    named = {path for _, run in _run_steps() for path in _named_paths(run)}
+    figures = sorted(
+        f"benchmarks/{path.name}"
+        for pattern in ("bench_fig*.py", "bench_ablation_*.py")
+        for path in (REPO / "benchmarks").glob(pattern)
+    )
+    assert len(figures) == 15
+    assert [path for path in figures if path not in named] == []
