@@ -73,6 +73,17 @@ def compute() -> dict[str, dict]:
     }
 
 
+def _flat(counts: dict) -> dict:
+    """``{"messages": {"QUERY": 3}}`` -> ``{"messages.QUERY": 3}``."""
+    flat = {}
+    for key, value in counts.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{sub}": count for sub, count in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
 def diff(recorded: dict[str, dict], current: dict[str, dict]) -> list[str]:
     """One line per entry that is missing, new, or changed (naming the
     headline counts that moved)."""
@@ -84,6 +95,7 @@ def diff(recorded: dict[str, dict], current: dict[str, dict]) -> list[str]:
         if old is None or new is None:
             lines.append(f"{name}: {'new' if old is None else 'missing'}")
             continue
+        old, new = _flat(old), _flat(new)
         moved = [
             f"{key} {old.get(key)} -> {new.get(key)}"
             for key in sorted(old.keys() | new.keys())

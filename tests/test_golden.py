@@ -35,16 +35,25 @@ def test_golden_check_passes() -> None:
 
 def test_diff_names_the_counts_that_moved() -> None:
     old = {
-        "smoke/sim": {"sha256": "a", "queries": 35, "failed": 0},
+        "smoke/sim": {
+            "sha256": "a",
+            "messages": {"QUERY": 93, "SIZE_PROBE": 1},
+            "queries": 35,
+        },
         "gone/sim": {"sha256": "b"},
     }
     new = {
-        "smoke/sim": {"sha256": "c", "queries": 36, "failed": 0},
+        "smoke/sim": {
+            "sha256": "c",
+            "messages": {"QUERY": 93, "SIZE_PROBE": 2},
+            "queries": 36,
+        },
         "fresh/sim": {"sha256": "d"},
     }
     assert golden.diff(old, new) == [
         "fresh/sim: new",
         "gone/sim: missing",
-        "smoke/sim: report changed (queries 35 -> 36)",
+        "smoke/sim: report changed "
+        "(messages.SIZE_PROBE 1 -> 2; queries 35 -> 36)",
     ]
     assert golden.diff(old, old) == []
