@@ -52,7 +52,7 @@ def _experiment() -> list[tuple[float, float]]:
         # graph used by this query.
         bottleneck = 0.0
         for node_id, node in cluster.nodes.items():
-            state = node.states.get("(A = true)")
+            state = node.tree_state("(A = true)")
             if state is None:
                 continue
             children = cluster.overlay.children(node_id, key)

@@ -82,7 +82,7 @@ def main() -> None:
         print(f"  [{lo:5.1f}, {hi:5.1f}): {'#' * count} {count}")
     print(f"  approx median: {latest['approx_median']:.1f}%")
 
-    states = sum(len(node.states) for node in cluster.nodes.values())
+    states = sum(len(node.tree_keys()) for node in cluster.nodes.values())
     print(f"\npredicate states resident across the cluster: {states}")
     print("(idle predicates are garbage-collected after 120 s)")
 

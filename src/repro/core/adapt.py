@@ -138,9 +138,19 @@ class Adaptor:
         )
         return self._reevaluate()
 
+    def resume(self, window: int) -> None:
+        """Continue in UPDATE from a saved :attr:`window`."""
+        self.update = True
+        self._events = window
+
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+
+    @property
+    def window(self) -> int:
+        """The packed recent-event window."""
+        return self._events
 
     def counts(self) -> tuple[int, int, int]:
         """(qn, qs, c) over the window for the current state."""

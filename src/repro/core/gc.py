@@ -72,7 +72,7 @@ class IdleTimeoutGC(GCPolicy):
 
     def collect(self, node: "MoaraNode", now: float) -> list[str]:
         stale = []
-        for pred_key in list(node.states):
+        for pred_key in node.tree_keys():
             last = self._last_query.get(pred_key)
             if last is None:
                 # State created by a child report, never queried here: give
@@ -100,7 +100,7 @@ class KeepLastKGC(GCPolicy):
 
     def collect(self, node: "MoaraNode", now: float) -> list[str]:
         keep = set(self._recency[-self.k :])
-        return [key for key in node.states if key not in keep]
+        return [key for key in node.tree_keys() if key not in keep]
 
 
 @dataclass
@@ -115,7 +115,7 @@ class LeastFrequentGC(GCPolicy):
         self._counts[pred_key] = self._counts.get(pred_key, 0) + 1
 
     def collect(self, node: "MoaraNode", now: float) -> list[str]:
-        keys = list(node.states)
+        keys = node.tree_keys()
         if len(keys) <= self.capacity:
             return []
         keys.sort(key=lambda key: (self._counts.get(key, 0), key))

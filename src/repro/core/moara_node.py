@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Optional, Sequence
 
 from repro.core import messages as mt
@@ -70,7 +71,7 @@ from repro.core.result_cache import (
     ResultCache,
     execution_key,
 )
-from repro.core.tree_state import PredicateTreeState
+from repro.core.tree_state import PredicateTreeState, PrunedLeaf
 from repro.pastry.overlay import Overlay
 from repro.sim.engine import EventHandle
 from repro.sim.network import Message, Network
@@ -227,8 +228,12 @@ class MoaraNode:
         #: overlay's lifetime; only ``.version`` changes): every message
         #: handler reads the membership version to gate its memos.
         self._oindex = overlay.index
-        #: predicate canonical key -> tree state
+        #: predicate canonical key -> tree state, in one of two maps: the
+        #: full form, or the record of a pruned leaf outside the group
+        #: (:mod:`repro.core.tree_state`).  Read through :meth:`tree_state`.
         self.states: dict[str, PredicateTreeState] = {}
+        self._pruned: dict[str, PrunedLeaf] = {}
+        self._created = 0  # creation ordinal of the next new state
         self._pending: dict[tuple[str, str], _PendingQuery] = {}
         # Duplicate suppression keeps *membership*, not expiry times, in
         # two generations rotated on the engine clock every
@@ -236,17 +241,19 @@ class MoaraNode:
         # both, so it is remembered for between 1x and 2x the TTL.  Query
         # ids never recur, so the extra memory is invisible, and every
         # decision inside ``answered_ttl`` is the one per-entry expiries
-        # made.  Plain ``{id: None}`` dicts: about half the bytes per
-        # entry of a small set, and a third of a tuple key + float value.
+        # made.  Plain flat dicts: about half the bytes per entry of a
+        # small set, and a third of a tuple key + float value.
         #: query ids whose local value we already contributed (dedup across
         #: the multiple trees of a composite cover): current and previous
         #: generation.
         self._answered: dict[str, None] = {}
         self._answered_old: dict[str, None] = {}
-        #: pred_key -> query ids already processed for that tree
-        #: (duplicate delivery guard): current and previous generation.
-        self._seen: dict[str, dict[str, None]] = {}
-        self._seen_old: dict[str, dict[str, None]] = {}
+        #: (query, tree) deliveries already processed (duplicate delivery
+        #: guard), current and previous generation: ``qid -> pred_key``
+        #: for a query's first tree, and a ``(qid, pred_key)`` key for each
+        #: further tree of the same query (see :meth:`_first_delivery`).
+        self._seen: dict = {}
+        self._seen_old: dict = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
         factory = self.config.gc_policy_factory
@@ -317,22 +324,80 @@ class MoaraNode:
             key = predicate.canonical()
         state = self.states.get(key)
         if state is None:
-            tree_key = self.overlay.space.hash_name(group_attribute(predicate))
-            state = PredicateTreeState(
-                predicate=predicate,  # type: ignore[arg-type]
-                tree_key=tree_key,
-                node_id=self.node_id,
-                adaptor=Adaptor(self.config.adaptation),
-                threshold=self.config.threshold,
-                pred_key=key,
+            leaf = self._pruned.pop(key, None)
+            if leaf is not None:
+                self.states[key] = state = self._expand(key, leaf)
+                return state
+            state = self._blank_state(
+                predicate,  # type: ignore[arg-type]
+                key,
+                self.overlay.space.hash_name(group_attribute(predicate)),
+                self._created,
             )
-            state.self_set = self._self_set
+            self._created += 1
             state.local_sat = predicate.evaluate(self._attr_data)
             state.computed_update_set = state.compute_update_set(
                 self._dht_children(state)
             )
             state.known_parent = self._dht_parent(state)
             self.states[key] = state
+        return state
+
+    def _blank_state(
+        self, predicate: SimplePredicate, key: str, tree_key: int, created: int
+    ) -> PredicateTreeState:
+        state = PredicateTreeState(
+            predicate=predicate,
+            tree_key=tree_key,
+            node_id=self.node_id,
+            adaptor=Adaptor(self.config.adaptation),
+            threshold=self.config.threshold,
+            pred_key=key,
+            created=created,
+        )
+        state.self_set = self._self_set
+        return state
+
+    def _expand(self, key: str, leaf: PrunedLeaf) -> PredicateTreeState:
+        """The full state a pruned-leaf record stands for (not stored)."""
+        return leaf.expand(
+            self._blank_state(leaf.predicate, key, leaf.tree_key, leaf.created)
+        )
+
+    def _compact(self, state: PredicateTreeState) -> None:
+        """Keep ``state`` as a :class:`PrunedLeaf` if it is one, and
+        nothing pending or held here refers to it."""
+        leaf = state.compact()
+        if (
+            leaf is not None
+            and self._held is not state
+            and not self._has_pending(state.pred_key)
+        ):
+            del self.states[state.pred_key]
+            self._pruned[state.pred_key] = leaf
+
+    def _has_pending(self, pred_key: str) -> bool:
+        return any(key[1] == pred_key for key in self._pending)
+
+    def _entries(self) -> list:
+        """Every state and record of this node, in creation order."""
+        return sorted(
+            [*self.states.values(), *self._pruned.values()],
+            key=attrgetter("created"),
+        )
+
+    def tree_keys(self) -> list[str]:
+        """The key of every predicate this node holds state for."""
+        return [*self.states, *self._pruned]
+
+    def tree_state(self, pred_key: str) -> Optional[PredicateTreeState]:
+        """Read access to one predicate's state: the full state, or the
+        state a compact record stands for (a detached copy), or None."""
+        state = self.states.get(pred_key)
+        if state is None:
+            leaf = self._pruned.get(pred_key)
+            if leaf is not None:
+                state = self._expand(pred_key, leaf)
         return state
 
     def garbage_collect(self, pred_key: str) -> bool:
@@ -349,7 +414,7 @@ class MoaraNode:
             return False  # must keep updating the parent
         if state.sent_update_set is not None and not state.would_receive_queries():
             return False  # parent would never route queries back to us
-        if any(key[1] == pred_key for key in self._pending):
+        if self._has_pending(pred_key):
             return False  # an aggregation for this predicate is in flight
         del self.states[pred_key]
         return True
@@ -459,10 +524,14 @@ class MoaraNode:
         # aggregate fed by the attribute: drop affected cached results.
         if self.result_cache.enabled:
             self.result_cache.invalidate_attr(name)
-        for state in list(self.states.values()):
+        for state in self._entries():
             if name not in state.predicate.attributes():
                 continue
             new_sat = state.predicate.evaluate(self._attr_data)
+            if type(state) is PrunedLeaf:
+                if not new_sat:
+                    continue  # still outside the group: the record stands
+                state = self.get_state(state.predicate)
             if new_sat != state.local_sat:
                 state.local_sat = new_sat
                 self._recompute(state)
@@ -649,20 +718,12 @@ class MoaraNode:
         reply_to = message.src
         if now >= self._rotate_at:
             self._rotate(now)
-        seen = self._seen.get(pred_key)
-        if seen is None:
-            seen = self._seen[pred_key] = {}
-        if (
-            qkey in self._pending
-            or qid in seen
-            or qid in self._seen_old.get(pred_key, ())
-        ):
+        if not self._first_delivery(qid, qkey, pred_key):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
-        seen[qid] = None
         if self._gc_enabled:
             self.gc_policy.on_query(self, pred_key, now)
             for candidate in self.gc_policy.collect(self, now):
@@ -710,6 +771,7 @@ class MoaraNode:
             self._send_reply(
                 state, qid, reply_to, mt.QUERY_RESPONSE, partial, int(contributed)
             )
+            self._compact(state)
             return
         if live_targets is targets:
             ordered = state.fwd_targets_sorted
@@ -765,20 +827,12 @@ class MoaraNode:
         now = self._engine.now
         if now >= self._rotate_at:
             self._rotate(now)
-        seen = self._seen.get(pred_key)
-        if seen is None:
-            seen = self._seen[pred_key] = {}
-        if (
-            key in self._pending
-            or qid in seen
-            or qid in self._seen_old.get(pred_key, ())
-        ):
+        if not self._first_delivery(qid, key, pred_key):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, reply_mtype, None, 0)
             return
-        seen[qid] = None
         if self._gc_enabled:
             self.gc_policy.on_query(self, pred_key, now)
             # Sweep other predicates; the one being processed right now is
@@ -848,6 +902,24 @@ class MoaraNode:
             pending.timeout_handle = self._engine.schedule(
                 self._child_timeout, self._on_timeout, key
             )
+
+    def _first_delivery(self, qid: str, qkey: tuple, pred_key: str) -> bool:
+        """Remember that ``qid`` arrived down the ``pred_key`` tree; False
+        if it did before (or is still being aggregated here)."""
+        if qkey in self._pending:
+            return False
+        seen = self._seen
+        first = seen.get(qid)
+        if first is not None and (first == pred_key or qkey in seen):
+            return False
+        old = self._seen_old.get(qid)
+        if old is not None and (old == pred_key or qkey in self._seen_old):
+            return False
+        if first is None:
+            seen[qid] = pred_key
+        else:
+            seen[qkey] = pred_key
+        return True
 
     def _local_contribution(self, qid: str, query: Query) -> tuple[Any, bool]:
         """Our own (value, contributed) for a query, with composite-cover
@@ -1151,7 +1223,15 @@ class MoaraNode:
         self.standing.on_membership_change(joined, left)
         if self.node_id not in self.overlay:
             return  # we ourselves left; nothing further to maintain
-        for state in list(self.states.values()):
+        overlay = self.overlay
+        for state in self._entries():
+            if type(state) is PrunedLeaf:
+                tree_key = state.tree_key
+                if state.known_parent == overlay.parent(
+                    self.node_id, tree_key
+                ) and not overlay.children(self.node_id, tree_key):
+                    continue  # no child gained, same parent: nothing changes
+                state = self.get_state(state.predicate)
             # A report describes a subtree hanging off us: once its sender
             # is not our child any more (it left, or churn re-parented it)
             # it describes nothing, and a kept PRUNE would be trusted again

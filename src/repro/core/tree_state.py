@@ -1,4 +1,4 @@
-"""Per-(node, predicate) group-tree state.
+"""Per-(node, predicate) group-tree state, in two forms with one owner.
 
 This module holds the pure (side-effect-free) part of Sections 4 and 5:
 given what a node knows -- its own satisfiability, what each child last
@@ -6,6 +6,16 @@ reported, the separate-query-plane ``threshold`` -- compute the derived
 ``qSet``, ``updateSet``, ``sat``/``prune`` values and the forwarding targets
 for a query.  The message-driven behaviour lives in
 :mod:`repro.core.moara_node`.
+
+A node's state for one predicate takes one of two forms, both owned
+here with the conversion between them: the full
+:class:`PredicateTreeState` every handler works on, and the
+:class:`PrunedLeaf` record of the shape most states have -- a leaf
+outside the group that told its parent PRUNE (Section 4: such a node
+keeps only what pruning needs).  :meth:`PredicateTreeState.compact`
+makes a record only when :meth:`PrunedLeaf.expand` rebuilds every
+protocol field as it was, and the node expands it before any handler
+mutates it, so the protocol cannot tell the two forms apart.
 
 Key modelling points (see DESIGN.md):
 
@@ -32,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.adapt import Adaptor
 from repro.core.predicates import SimplePredicate
 
-__all__ = ["ChildInfo", "PredicateTreeState"]
+__all__ = ["ChildInfo", "PredicateTreeState", "PrunedLeaf"]
 
 # Most tree states belong to leaves that are not in the group, and theirs
 # are all the same values: nobody to forward to, nobody reported, an empty
@@ -47,9 +57,9 @@ _NO_NODES: frozenset[int] = frozenset()
 _NO_REPORTS: Mapping[int, "ChildInfo"] = MappingProxyType({})
 
 
-@dataclass(slots=True)
-class ChildInfo:
-    """What a node knows about one DHT child for one predicate."""
+class ChildInfo(NamedTuple):
+    """What a node knows about one DHT child for one predicate (immutable:
+    a new report replaces the entry, so equal reports can share one)."""
 
     #: The child's last reported updateSet.  ``None`` means the child has
     #: never reported (default: forward queries straight to the child);
@@ -57,6 +67,11 @@ class ChildInfo:
     update_set: Optional[frozenset[int]] = None
     #: The child's last piggybacked subtree receive-count estimate.
     subtree_recv: int = 1
+
+
+#: PRUNE with nobody below receiving queries: every pruned leaf outside
+#: the group reports this, so one instance serves all of them.
+_PRUNED = ChildInfo(_NO_NODES, 0)
 
 
 @dataclass(slots=True)
@@ -91,6 +106,9 @@ class PredicateTreeState:
     computed_update_set: frozenset[int] = _NO_NODES
     last_seen_seq: int = 0
     known_parent: Optional[int] = None
+    #: creation ordinal: a node visits all its states in this order,
+    #: whichever form each one is in.
+    created: int = 0
 
     #: version-gated caches of this node's DHT children/parent in the tree
     #: for ``tree_key``, maintained by the agent against the overlay's
@@ -230,18 +248,20 @@ class PredicateTreeState:
         Version bumps are gated on actual value changes so the memos over
         this map survive the no-op reports that dominate steady state
         (every reply re-piggybacks an unchanged ``subtree_recv``)."""
-        info = self.children.get(child)
-        if info is None:
+        old = self.children.get(child)
+        if old is None:
             if self.children is _NO_REPORTS:
                 self.children = {}
-            info = self.children[child] = ChildInfo()
             self.report_version += 1
-        if update_set is not None and update_set != info.update_set:
-            info.update_set = update_set
+        reported, recv = old or ChildInfo()
+        if update_set is not None and update_set != reported:
+            reported = update_set
             self.report_version += 1
-        if subtree_recv is not None and subtree_recv != info.subtree_recv:
-            info.subtree_recv = subtree_recv
+        if subtree_recv is not None and subtree_recv != recv:
+            recv = subtree_recv
             self.recv_version += 1
+        info = ChildInfo(reported, recv)
+        self.children[child] = _PRUNED if info == _PRUNED else info
 
     def forget_children(self, departed: set[int]) -> bool:
         """Drop state for departed children; True if anything was removed."""
@@ -253,3 +273,55 @@ class PredicateTreeState:
         if removed:
             self.report_version += 1
         return removed
+
+    # ------------------------------------------------------------------
+    # the compact form
+    # ------------------------------------------------------------------
+
+    def compact(self) -> Optional["PrunedLeaf"]:
+        """This state as a record, or None unless it has exactly the values
+        :meth:`PrunedLeaf.expand` rebuilds: no DHT children and no child
+        report ever (both versions 0), not in the group, PRUNE computed
+        and sent, adaptor in UPDATE.  The caller checks that nothing
+        pending or held refers to it."""
+        if (
+            self.local_sat
+            or self.computed_update_set
+            or self.sent_update_set != _NO_NODES
+            or self.report_version
+            or self.recv_version
+            or self.cached_children
+            or not self.adaptor.update
+        ):
+            return None
+        return PrunedLeaf(
+            self.predicate,
+            self.tree_key,
+            self.last_seen_seq,
+            self.known_parent,
+            self.adaptor.window,
+            self.created,
+        )
+
+
+class PrunedLeaf(NamedTuple):
+    """A pruned leaf outside the group: only what varies between such
+    leaves.  Its parent holds the shared PRUNE report for it, and it
+    receives no queries."""
+
+    predicate: SimplePredicate
+    tree_key: int
+    last_seen_seq: int
+    known_parent: Optional[int]
+    #: the adaptor's packed recent-event window (the adaptor is in UPDATE)
+    window: int
+    created: int
+
+    def expand(self, state: PredicateTreeState) -> PredicateTreeState:
+        """Fill the node's blank state for this predicate (its id,
+        threshold, a new adaptor) with the values the record stands for."""
+        state.sent_update_set = state.computed_update_set = _NO_NODES
+        state.last_seen_seq = self.last_seen_seq
+        state.known_parent = self.known_parent
+        state.adaptor.resume(self.window)
+        return state

@@ -161,7 +161,8 @@ def test_state_machine_invariant_update_or_receive() -> None:
         cluster.set_attribute(node_id, "A", 1 - current)
     cluster.run_until_idle()
     for node_id, node in cluster.nodes.items():
-        for state in node.states.values():
+        for key in node.tree_keys():
+            state = node.tree_state(key)
             receives = state.would_receive_queries()
             updates = state.adaptor.update
             assert updates or receives, (

@@ -82,8 +82,8 @@ def test_duplicate_query_is_suppressed_across_a_rotation() -> None:
     # generation now, and still a duplicate.
     again = _deliver(cluster, node, caller, "q1", "a", at=10.1)
     assert (again["partial"], again["contributors"]) == (None, 0)
-    assert "q1" not in node._seen.get(first["pred_key"], {})
-    assert "q1" in node._seen_old[first["pred_key"]]
+    assert "q1" not in node._seen
+    assert node._seen_old["q1"] == first["pred_key"]
     # The whole TTL long (per-entry expiry: suppressed through t = 19.8).
     again = _deliver(cluster, node, caller, "q1", "a", at=19.8)
     assert (again["partial"], again["contributors"]) == (None, 0)
@@ -99,10 +99,10 @@ def test_second_cover_group_is_suppressed_across_a_rotation() -> None:
     # delivery -- but the node's value already went up the first tree.
     second = _deliver(cluster, node, caller, "q-before", "b", at=9.95)
     assert (second["partial"], second["contributors"]) == (None, 0)
-    assert "q-before" in node._seen[second["pred_key"]]
+    assert ("q-before", second["pred_key"]) in node._seen
     second = _deliver(cluster, node, caller, "q-across", "b", at=10.05)
     assert (second["partial"], second["contributors"]) == (None, 0)
-    assert "q-across" in node._seen[second["pred_key"]]
+    assert node._seen["q-across"] == second["pred_key"]
     assert "q-across" in node._answered_old
     # A qid that never came contributes, either side of the rotation.
     assert _deliver(cluster, node, caller, "q-new", "b", at=10.06)[
@@ -126,7 +126,7 @@ def test_nothing_older_than_two_ttls_survives() -> None:
     _deliver(cluster, node, caller, "after-idle", "a", at=60.0)
     assert node._answered_old == {} and node._seen_old == {}
     assert set(node._answered) == {"after-idle"}
-    assert [list(ids) for ids in node._seen.values()] == [["after-idle"]]
+    assert list(node._seen) == ["after-idle"]
     # A recycled id from the forgotten era is, correctly, new again.
     assert _deliver(cluster, node, caller, "early-0", "a", at=60.1)[
         "contributors"

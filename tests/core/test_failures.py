@@ -116,7 +116,7 @@ def test_state_resent_to_new_parent() -> None:
     tree_after = cluster.overlay.tree(key)
     for orphan in orphans:
         node = cluster.nodes[orphan]
-        state = node.states.get("(A = 1)")
+        state = node.tree_state("(A = 1)")
         if state is None:
             continue
         assert state.known_parent == tree_after.parent_of(orphan)

@@ -19,7 +19,7 @@ def test_gc_refused_while_in_update_state() -> None:
     cluster = build()
     refused = 0
     for node in cluster.nodes.values():
-        state = node.states.get("(A = 1)")
+        state = node.tree_state("(A = 1)")
         if state is not None and state.adaptor.update:
             assert node.garbage_collect("(A = 1)") is False
             refused += 1
@@ -32,7 +32,7 @@ def test_gc_of_no_update_receiving_nodes_is_safe() -> None:
     cluster = build()
     collected = 0
     for node in cluster.nodes.values():
-        state = node.states.get("(A = 1)")
+        state = node.tree_state("(A = 1)")
         if state is None:
             continue
         if not state.adaptor.update and state.would_receive_queries():
@@ -47,7 +47,7 @@ def test_gc_refused_when_pruned_out() -> None:
     it would never hear queries again and could miss becoming relevant."""
     cluster = build()
     for node in cluster.nodes.values():
-        state = node.states.get("(A = 1)")
+        state = node.tree_state("(A = 1)")
         if state is None:
             continue
         if not state.adaptor.update and not state.would_receive_queries():

@@ -14,7 +14,7 @@ from repro.core.moara_node import MoaraConfig
 
 
 def total_states(cluster: MoaraCluster) -> int:
-    return sum(len(node.states) for node in cluster.nodes.values())
+    return sum(len(node.tree_keys()) for node in cluster.nodes.values())
 
 
 def populate(cluster: MoaraCluster, num_groups: int) -> None:
@@ -62,14 +62,14 @@ def test_keep_last_k_evicts_older_predicates() -> None:
         cluster.query("SELECT COUNT(*) WHERE g4 = true")
     root3 = cluster.overlay.root(cluster.overlay.space.hash_name("g3"))
     node = cluster.nodes[root3]
-    old_keys = [k for k in node.states if k in ("(g0 = true)", "(g1 = true)")]
+    old_keys = [k for k in node.tree_keys() if k in ("(g0 = true)", "(g1 = true)")]
     # The hot root for g3 may legitimately keep old state if it is in
     # UPDATE for those predicates; but across the cluster, old predicates
     # must have been swept somewhere.
     swept = sum(
         1
         for n in cluster.nodes.values()
-        if "(g0 = true)" not in n.states
+        if "(g0 = true)" not in n.tree_keys()
     )
     assert swept > 0
     # Answers remain correct after eviction.
@@ -91,7 +91,7 @@ def test_least_frequent_respects_capacity_pressure() -> None:
         cluster.query("SELECT COUNT(*) WHERE g0 = true")
     # The frequent predicate survives on the busiest nodes.
     root0 = cluster.overlay.root(cluster.overlay.space.hash_name("g0"))
-    assert "(g0 = true)" in cluster.nodes[root0].states
+    assert "(g0 = true)" in cluster.nodes[root0].tree_keys()
     # All groups still answer correctly.
     for i in range(4):
         expected = 4 + i
@@ -122,6 +122,9 @@ def test_policy_unit_behaviour() -> None:
     class FakeNode:
         def __init__(self) -> None:
             self.states = {"p1": 1, "p2": 2, "p3": 3}
+
+        def tree_keys(self) -> list[str]:
+            return list(self.states)
 
         def garbage_collect(self, key: str) -> bool:
             return self.states.pop(key, None) is not None

@@ -50,7 +50,8 @@ def test_join_under_a_pruned_subtree_unprunes_up_to_the_root() -> None:
         pruned = {
             node_id
             for node_id, node in cluster.nodes.items()
-            if key in node.states and node.states[key].sent_update_set == PRUNE
+            if key in node.tree_keys()
+            and node.tree_state(key).sent_update_set == PRUNE
         }
         newcomer = cluster.join_node()
         cluster.run_until_idle()
@@ -63,7 +64,7 @@ def test_join_under_a_pruned_subtree_unprunes_up_to_the_root() -> None:
     while tree.parent_of(ancestor) is not None:
         # Every subtree on the way up routes queries toward the newcomer
         # again (to itself, or -- separate query plane -- past itself).
-        assert cluster.nodes[ancestor].states[key].sent_update_set != PRUNE
+        assert cluster.nodes[ancestor].tree_state(key).sent_update_set != PRUNE
         ancestor = tree.parent_of(ancestor)
     cluster.set_attribute(newcomer, "g", True)
     cluster.run_until_idle()
@@ -89,25 +90,25 @@ def test_child_flapping_between_parents_in_no_update_is_queried_again() -> None:
     cluster.run_until_idle()
     fallback = _tree(cluster).parent_of(child)
     assert cluster.query(QUERY).value == 4
-    assert cluster.nodes[fallback].states[key].children[child].update_set == PRUNE
+    assert cluster.nodes[fallback].tree_state(key).children[child].update_set == PRUNE
     # `via` comes back and takes the child over: `fallback`'s report of it
     # now describes nothing.
     cluster.join_node(via)
     cluster.run_until_idle()
     assert _tree(cluster).parent_of(child) == via
-    assert child not in cluster.nodes[fallback].states[key].children
+    assert child not in cluster.nodes[fallback].tree_state(key).children
     # The child joins the group; with one change against no query it goes
     # NO-UPDATE, which tells the current parent "keep querying me" once and
     # then nothing (a query now would flip it back to UPDATE).
     cluster.set_attribute(child, "g", True)
     cluster.run_until_idle()
-    assert not cluster.nodes[child].states[key].adaptor.update
+    assert not cluster.nodes[child].tree_state(key).adaptor.update
     # Q -> P: back under `fallback`, silently.  Only the default view --
     # no report, so forward -- reaches the child now.
     cluster.leave_node(via)
     cluster.run_until_idle()
     assert _tree(cluster).parent_of(child) == fallback
-    assert cluster.nodes[child].states[key].sent_update_set is None
+    assert cluster.nodes[child].tree_state(key).sent_update_set is None
     assert cluster.query(QUERY).value == _truth(cluster) == 5
 
 

@@ -152,7 +152,8 @@ def test_status_updates_flow_to_parents_only() -> None:
     key = cluster.overlay.space.hash_name("A")
     tree = cluster.overlay.tree(key)
     for node_id, node in cluster.nodes.items():
-        for state in node.states.values():
+        for key in node.tree_keys():
+            state = node.tree_state(key)
             if state.sent_update_set is not None:
                 assert state.known_parent == tree.parent_of(node_id)
 
@@ -192,11 +193,12 @@ def _assert_parents_know_what_children_sent(cluster: MoaraCluster) -> int:
     it last sent -- whether that travelled alone or on a reply."""
     checked = 0
     for node_id, node in cluster.nodes.items():
-        for pred_key, state in node.states.items():
+        for pred_key in node.tree_keys():
+            state = node.tree_state(pred_key)
             parent = cluster.overlay.parent(node_id, state.tree_key)
             if parent is None:
                 continue
-            parent_state = cluster.nodes[parent].states.get(pred_key)
+            parent_state = cluster.nodes[parent].tree_state(pred_key)
             info = parent_state.children.get(node_id) if parent_state else None
             assert (info.update_set if info else None) == state.sent_update_set
             checked += state.sent_update_set is not None
@@ -272,8 +274,8 @@ def test_late_reply_still_applies_its_report() -> None:
     leaf.handle_message(_query_message(parent_id, leaf_id, "q-late"))
     cluster.run_until_idle()
     assert not parent._pending, "nothing is waiting for this reply"
-    assert leaf.states["(A = 1)"].sent_update_set == frozenset()
-    assert parent.states["(A = 1)"].children[leaf_id].update_set == frozenset()
+    assert leaf.tree_state("(A = 1)").sent_update_set == frozenset()
+    assert parent.tree_state("(A = 1)").children[leaf_id].update_set == frozenset()
     assert dict(cluster.stats.by_type) == {mt.QUERY_RESPONSE: 1}
 
 
@@ -291,7 +293,7 @@ def test_handler_that_raises_leaves_no_report_held(monkeypatch) -> None:
         leaf.handle_message(_query_message(parent_id, leaf_id, "q-1"))
     assert leaf._held is None and leaf._holding is False
     # The report was recorded as sent, so it went out (on its own).
-    assert leaf.states["(A = 1)"].sent_update_set == frozenset()
+    assert leaf.tree_state("(A = 1)").sent_update_set == frozenset()
     assert dict(cluster.stats.by_type) == {mt.STATUS_UPDATE: 1}
     monkeypatch.undo()
     # The next handler starts clean: an ordinary reply, nothing riding it.

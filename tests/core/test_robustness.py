@@ -37,11 +37,11 @@ def test_same_attribute_different_predicates_share_one_tree() -> None:
     key = cluster.overlay.space.hash_name("cpu")
     root = cluster.overlay.root(key)
     root_node = cluster.nodes[root]
-    assert "(cpu < 10)" in root_node.states
-    assert "(cpu >= 40)" in root_node.states
+    assert "(cpu < 10)" in root_node.tree_keys()
+    assert "(cpu >= 40)" in root_node.tree_keys()
     assert (
-        root_node.states["(cpu < 10)"].tree_key
-        == root_node.states["(cpu >= 40)"].tree_key
+        root_node.tree_state("(cpu < 10)").tree_key
+        == root_node.tree_state("(cpu >= 40)").tree_key
     )
 
 

@@ -152,7 +152,7 @@ def test_paper_figure5_updatesets() -> None:
     tree = cluster.overlay.tree(key)
     pred_key = "(A = 1)"
     for node_id, node in cluster.nodes.items():
-        state = node.states.get(pred_key)
+        state = node.tree_state(pred_key)
         if state is None or node_id == tree.root:
             continue
         if not state.adaptor.update:
@@ -176,7 +176,7 @@ def test_bypassed_nodes_forward_sets_upward() -> None:
     pred_key = "(A = 1)"
     bypassed = 0
     for node_id, node in cluster.nodes.items():
-        state = node.states.get(pred_key)
+        state = node.tree_state(pred_key)
         if state is None or node_id == tree.root:
             continue
         if state.sent_update_set and node_id not in state.sent_update_set:
@@ -215,8 +215,8 @@ def test_report_to_a_bypassed_parent_travels_alone_ahead_of_the_reply() -> None:
         for src, dst, mtype, _ in sends
         if mtype == mt.QUERY
         and src != tree.parent_of(dst)
-        and cluster.nodes[dst].states[pred_key].local_sat
-        and not cluster.nodes[dst]._forward_targets(cluster.nodes[dst].states[pred_key])
+        and cluster.nodes[dst].tree_state(pred_key).local_sat
+        and not cluster.nodes[dst]._forward_targets(cluster.nodes[dst].tree_state(pred_key))
     )
     parent = tree.parent_of(member)
     # Leave the group silently (the change flips the node to NO-UPDATE),
@@ -234,4 +234,4 @@ def test_report_to_a_bypassed_parent_travels_alone_ahead_of_the_reply() -> None:
     assert from_member[0][2]["update_set"] == frozenset()
     assert "update_set" not in from_member[1][2]
     cluster.run_until_idle()
-    assert cluster.nodes[parent].states[pred_key].children[member].update_set == frozenset()
+    assert cluster.nodes[parent].tree_state(pred_key).children[member].update_set == frozenset()

@@ -146,6 +146,69 @@ def test_child_info_defaults() -> None:
     assert info.subtree_recv == 1
 
 
+def test_prune_reports_share_one_instance() -> None:
+    a, b = make_state(), make_state(tree_key=456)
+    a.record_child_report(1, frozenset(), 0)
+    b.record_child_report(2, frozenset(), 0)
+    assert a.children[1] is b.children[2] == ChildInfo(frozenset(), 0)
+    # A changed report replaces the entry; the shared one is untouched.
+    versions = (a.report_version, a.recv_version)
+    a.record_child_report(1, None, 3)
+    assert a.children[1] == ChildInfo(frozenset(), 3)
+    assert b.children[2] == ChildInfo(frozenset(), 0)
+    assert (a.report_version, a.recv_version) == (versions[0], versions[1] + 1)
+    # An unchanged report bumps nothing.
+    a.record_child_report(1, frozenset(), 3)
+    assert (a.report_version, a.recv_version) == (versions[0], versions[1] + 1)
+
+
+def _pruned_leaf_state(**overrides) -> PredicateTreeState:
+    state = make_state()
+    state.adaptor.record_query(False)  # ADAPTIVE: a non-member goes UPDATE
+    state.sent_update_set = frozenset()
+    state.last_seen_seq = 4
+    state.known_parent = 77
+    for name, value in overrides.items():
+        setattr(state, name, value)
+    return state
+
+
+def test_pruned_leaf_compacts_and_expands_to_the_same_state() -> None:
+    state = _pruned_leaf_state()
+    leaf = state.compact()
+    assert leaf is not None
+    blank = make_state()
+    blank.pred_key = state.pred_key
+    again = leaf.expand(blank)
+    for name in (
+        "predicate",
+        "tree_key",
+        "local_sat",
+        "children",
+        "sent_update_set",
+        "computed_update_set",
+        "last_seen_seq",
+        "known_parent",
+        "report_version",
+        "recv_version",
+    ):
+        assert getattr(again, name) == getattr(state, name), name
+    assert again.adaptor.update and again.adaptor.window == state.adaptor.window
+
+
+def test_only_the_pruned_leaf_shape_compacts() -> None:
+    assert _pruned_leaf_state(local_sat=True).compact() is None
+    assert _pruned_leaf_state(sent_update_set=None).compact() is None
+    assert _pruned_leaf_state(sent_update_set=frozenset([10])).compact() is None
+    assert _pruned_leaf_state(computed_update_set=frozenset([3])).compact() is None
+    assert _pruned_leaf_state(cached_children=[3]).compact() is None
+    assert _pruned_leaf_state(report_version=1).compact() is None
+    assert _pruned_leaf_state(recv_version=1).compact() is None
+    no_update = _pruned_leaf_state()
+    no_update.adaptor = Adaptor(AdaptationConfig())
+    assert no_update.compact() is None
+
+
 # ----------------------------------------------------------------------
 # footprint: most states are a non-member leaf's, and those share their
 # (empty) values instead of owning a container apiece
@@ -180,7 +243,7 @@ def test_retained_bytes_per_tree_state() -> None:
         cluster.set_group(name, rng.sample(cluster.node_ids, 51))
     cluster.run_until_idle()
     cluster.query("SELECT COUNT(*) WHERE warm = true")  # per-tree, not per-state, set-up
-    before = sum(len(node.states) for node in cluster.nodes.values())
+    before = sum(len(node.tree_keys()) for node in cluster.nodes.values())
     gc.collect()
     tracemalloc.start()
     try:
@@ -191,6 +254,40 @@ def test_retained_bytes_per_tree_state() -> None:
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    created = sum(len(node.states) for node in cluster.nodes.values()) - before
+    created = sum(len(node.tree_keys()) for node in cluster.nodes.values()) - before
     assert created == 8 * 512
     assert retained / created <= 1300
+
+
+def test_retained_blocks_per_created_state() -> None:
+    """One cold query on each of 4 groups of 50 over 1 000 nodes creates
+    a state on every node, and 94 % of them belong to pruned leaves
+    outside the group.  Those keep a six-slot record, their parents a
+    shared PRUNE report, and the duplicate memory one flat entry, so
+    what the process retains per created state is under 3 allocations
+    (8.5 when each kept a full state, an adaptor, memo-key tuples, a
+    mutable child report and a per-predicate duplicate dict).  Bytes
+    are reported beside the bound, not asserted: they vary more across
+    Python versions than the allocation count does."""
+    rng = random.Random(7)
+    cluster = MoaraCluster(1000, seed=7)
+    groups = [f"g{i}" for i in range(4)]
+    for name in groups:
+        cluster.set_group(name, rng.sample(cluster.node_ids, 50))
+    cluster.run_until_idle()
+    cluster.query("SELECT COUNT(*) WHERE warm = true")  # per-tree set-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.take_snapshot()
+        for name in groups:
+            assert cluster.query(f"SELECT COUNT(*) WHERE {name} = true").value == 50
+        gc.collect()
+        stats = tracemalloc.take_snapshot().compare_to(base, "filename")
+    finally:
+        tracemalloc.stop()
+    created = 4 * 1000  # a cold query's first walk reaches every node
+    blocks = sum(stat.count_diff for stat in stats) / created
+    size = sum(stat.size_diff for stat in stats) / created
+    assert blocks <= 4.5, f"{blocks:.2f} blocks ({size:.0f} B) per created state"
+    assert sum(len(node.tree_keys()) for node in cluster.nodes.values()) == 5 * 1000

@@ -5,7 +5,8 @@ maintenance policies x zero/LAN latency, plus one run per non-default
 garbage-collection policy -- each driven through four steps: cold
 queries, attribute writes and group flips, one join and one leave, then
 more queries.  After each step the test dumps, for every node and every
-predicate key it holds state for, the protocol values a parent or a
+predicate key it holds state for (a compact record dumps as the state
+it stands for), the protocol values a parent or a
 later query can observe (child reports, sent/computed updateSet,
 ``local_sat``, the adaptor's flag and window, ``last_seen_seq``,
 ``known_parent``, report/recv versions) plus the message counts by type
@@ -97,9 +98,10 @@ def dump(cluster: MoaraCluster, answers: list) -> str:
     """Every node's protocol state per predicate key, canonical JSON."""
     nodes = {}
     for node_id in sorted(cluster.nodes):
-        states = cluster.nodes[node_id].states
+        node = cluster.nodes[node_id]
         nodes[str(node_id)] = {
-            key: _dump_state(states[key]) for key in sorted(states)
+            key: _dump_state(node.tree_state(key))
+            for key in sorted(node.tree_keys())
         }
     return json.dumps(
         {
