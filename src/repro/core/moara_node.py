@@ -365,19 +365,18 @@ class MoaraNode:
         )
 
     def _compact(self, state: PredicateTreeState) -> None:
-        """Keep ``state`` as a :class:`PrunedLeaf` if it is one, and
-        nothing pending or held here refers to it."""
+        """Keep ``state`` as a :class:`PrunedLeaf` if it is one and no
+        aggregation here still refers to it.  Called right after a reply,
+        which carried or flushed any held report."""
         leaf = state.compact()
-        if (
-            leaf is not None
-            and self._held is not state
-            and not self._has_pending(state.pred_key)
-        ):
+        if leaf is not None and not self._has_pending(state.pred_key):
             del self.states[state.pred_key]
             self._pruned[state.pred_key] = leaf
 
     def _has_pending(self, pred_key: str) -> bool:
-        return any(key[1] == pred_key for key in self._pending)
+        return bool(self._pending) and any(
+            key[1] == pred_key for key in self._pending
+        )
 
     def _entries(self) -> list:
         """Every state and record of this node, in creation order."""
@@ -718,12 +717,24 @@ class MoaraNode:
         reply_to = message.src
         if now >= self._rotate_at:
             self._rotate(now)
-        if not self._first_delivery(qid, qkey, pred_key):
+        # _first_delivery, inlined.
+        seen = self._seen
+        first = seen.get(qid)
+        old = self._seen_old.get(qid)
+        if (
+            qkey in self._pending
+            or (first is not None and (first == pred_key or qkey in seen))
+            or (old is not None and (old == pred_key or qkey in self._seen_old))
+        ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
+        if first is None:
+            seen[qid] = pred_key
+        else:
+            seen[qkey] = pred_key
         if self._gc_enabled:
             self.gc_policy.on_query(self, pred_key, now)
             for candidate in self.gc_policy.collect(self, now):
