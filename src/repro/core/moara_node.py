@@ -210,6 +210,10 @@ class MoaraNode:
         network: Network,
         config: Optional[MoaraConfig] = None,
     ) -> None:
+        # At most 29 instance attributes: CPython 3.11 shares one key
+        # table among a class's instances only up to that, and past it
+        # every node's __dict__ grows by 1.3 KB and each ``self.`` read on
+        # the message handlers takes the slow path.
         self.node_id = node_id
         self.overlay = overlay
         self.network = network
@@ -260,12 +264,10 @@ class MoaraNode:
         self.gc_policy: GCPolicy = factory() if factory is not None else NoGC()
         # Hot-path constants hoisted off the config (read per received
         # query; the config is set once at construction).
-        self._answered_ttl = self.config.answered_ttl
         self._child_timeout = self.config.child_timeout
-        self._share_executions = self.config.share_executions
         self._gc_enabled = type(self.gc_policy) is not NoGC
         #: engine time of the next duplicate-suppression rotation.
-        self._rotate_at = self._engine.now + self._answered_ttl
+        self._rotate_at = self._engine.now + self.config.answered_ttl
         #: churn-adaptive TTL policy for the result cache (None when the
         #: cache is disabled or the operator pinned a fixed TTL).  Each
         #: node tracks churn it observes itself -- STATUS_UPDATE arrivals
@@ -679,7 +681,7 @@ class MoaraNode:
                 )
                 return
             stats.root_cache_misses += 1
-        if exec_key is not None and self._share_executions:
+        if exec_key is not None and self.config.share_executions:
             if self.inflight.subscribe(exec_key, message.src, qid):
                 stats.root_subscriptions += 1
                 return
@@ -894,7 +896,7 @@ class MoaraNode:
             exec_key=exec_key,
         )
         self._pending[key] = pending
-        if exec_key is not None and self._share_executions:
+        if exec_key is not None and self.config.share_executions:
             self.inflight.open(exec_key)
         # One shared payload for the whole fan-out (receivers are
         # read-only); sorted for deterministic send order.
@@ -1156,12 +1158,13 @@ class MoaraNode:
         only ids older than the TTL in *both* generations (any later
         arrival would have rotated first) and drops both.
         """
-        if now >= self._rotate_at + self._answered_ttl:
+        ttl = self.config.answered_ttl
+        if now >= self._rotate_at + ttl:
             self._answered_old, self._seen_old = {}, {}
         else:
             self._answered_old, self._seen_old = self._answered, self._seen
         self._answered, self._seen = {}, {}
-        self._rotate_at = now + self._answered_ttl
+        self._rotate_at = now + ttl
 
     # ------------------------------------------------------------------
     # size probes (Section 6.3)

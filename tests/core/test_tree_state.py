@@ -259,6 +259,14 @@ def test_retained_bytes_per_tree_state() -> None:
     assert retained / created <= 1300
 
 
+def test_node_keeps_the_shared_key_layout() -> None:
+    """CPython 3.11 shares one instance-dict key table among a class's
+    instances only up to 29 attributes; one more costs every node 1.3 KB
+    and slows each ``self.`` read in the message handlers."""
+    node = next(iter(MoaraCluster(4, seed=1).nodes.values()))
+    assert len(vars(node)) <= 29
+
+
 def test_retained_blocks_per_created_state() -> None:
     """One cold query on each of 4 groups of 50 over 1 000 nodes creates
     a state on every node, and 94 % of them belong to pruned leaves
