@@ -245,8 +245,8 @@ class MoaraNode:
         # both, so it is remembered for between 1x and 2x the TTL.  Query
         # ids never recur, so the extra memory is invisible, and every
         # decision inside ``answered_ttl`` is the one per-entry expiries
-        # made.  Plain flat dicts: about half the bytes per entry of a
-        # small set, and a third of a tuple key + float value.
+        # made.  Plain ``{id: None}`` dicts: about half the bytes per
+        # entry of a small set, and a third of a tuple key + float value.
         #: query ids whose local value we already contributed (dedup across
         #: the multiple trees of a composite cover): current and previous
         #: generation.
