@@ -86,7 +86,7 @@ def _dump_state(state) -> dict:
         "computed": nodes(state.computed_update_set),
         "local_sat": state.local_sat,
         "update": state.adaptor.update,
-        "window": state.adaptor._events,
+        "window": state.adaptor.window,
         "last_seen_seq": state.last_seen_seq,
         "known_parent": state.known_parent,
         "report_version": state.report_version,

@@ -19,7 +19,7 @@ REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "golden.py"
 
 sys.path.insert(0, str(SCRIPT.parent))
-import golden  # noqa: E402
+import golden
 
 
 def test_golden_check_passes() -> None:
