@@ -110,18 +110,13 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="recompute and diff")
     mode.add_argument("--write", action="store_true", help="re-record the file")
-    parser.add_argument(
-        "--golden", type=Path, default=GOLDEN, help="golden file (default: GOLDEN.json)"
-    )
     args = parser.parse_args(argv)
     current = compute()
     if args.write:
-        args.golden.write_text(
-            json.dumps(current, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {len(current)} entries to {args.golden}")
+        GOLDEN.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(current)} entries to {GOLDEN}")
         return 0
-    recorded = json.loads(args.golden.read_text(encoding="utf-8"))
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     lines = diff(recorded, current)
     for line in lines:
         print(line)
