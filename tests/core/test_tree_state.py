@@ -269,8 +269,8 @@ def test_node_keeps_the_shared_key_layout() -> None:
 
 def test_retained_blocks_per_created_state() -> None:
     """One cold query on each of 4 groups of 50 over 1 000 nodes creates
-    a state on every node, and 94 % of them belong to pruned leaves
-    outside the group.  Those keep a six-slot record, their parents a
+    a state on every node, and 89 % of them belong to pruned leaves
+    outside the group.  Those keep a six-field record, their parents a
     shared PRUNE report, and the duplicate memory one flat entry, so
     what the process retains per created state is under 3 allocations
     (8.5 when each kept a full state, an adaptor, memo-key tuples, a
