@@ -8,7 +8,7 @@ resolves inside the repository:
   ``examples/...``, ``docs/...``, ``scripts/...``), with or without a
   trailing slash;
 * dotted Python module paths rooted at ``repro`` (e.g.
-  ``repro.core.result_cache``), resolved under ``src/`` as either a
+  ``repro.core.inflight``), resolved under ``src/`` as either a
   module file or a package directory.  Components starting with an
   uppercase letter (class names) are never matched, so prose like
   ``repro.core.frontend.FrontendConfig`` checks the module part only;

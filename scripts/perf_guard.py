@@ -1,13 +1,11 @@
 """Wall-clock perf guard: time the headline benchmarks, track a trajectory.
 
-Runs the seven timing-sensitive benchmarks -- Figure 17's concurrent
+Runs the six timing-sensitive benchmarks -- Figure 17's concurrent
 front-end throughput, the 10k-node scale run, the 100k-node capstone
-run, the sharded-query-plane scale-out sweep, a scenario campaign
-(flash crowd at full scale, the smoke campaign under
-``MOARA_BENCH_TINY=1``), the link-chaos campaign on the loopback
+run, a scenario campaign (flash crowd at full scale, the smoke campaign
+under ``MOARA_BENCH_TINY=1``), the link-chaos campaign on the loopback
 plane, and the standing-query churn run -- under plain
-``time.perf_counter``,
-writes the numbers to ``BENCH_scale.json`` at the repo root, and
+``time.perf_counter``, writes the numbers to ``BENCH_scale.json`` at the repo root, and
 compares against the committed baseline.  The campaign rows double as
 correctness gates: any invariant violation exits non-zero regardless
 of timing.  So does the scale pair: messages per query *per group
@@ -104,24 +102,6 @@ def _time_scale_100k() -> dict:
     from bench_scale import run_scale_100k
 
     return _scale_row(run_scale_100k)
-
-
-def _time_shard_scaleout() -> dict:
-    from bench_shard_scaleout import run_sweep
-
-    started = time.perf_counter()
-    rows = run_sweep()
-    wall = time.perf_counter() - started
-    return {
-        "wall_s": round(wall, 3),
-        "qps_1shard_sim": round(rows["1-shard"]["qps_sim"], 1),
-        "qps_8shard_sim": round(rows["8-shard"]["qps_sim"], 1),
-        "scaleout_x": round(
-            rows["8-shard"]["qps_sim"] / rows["1-shard"]["qps_sim"], 2
-        ),
-        "probe_msgs_shared": rows["8-shard"]["probe_msgs"],
-        "probe_msgs_private": rows["private-8"]["probe_msgs"],
-    }
 
 
 def _time_campaign() -> dict:
@@ -321,9 +301,6 @@ def main() -> int:
           f"{scale_100k['msgs_per_query']:.1f} msgs/query = "
           f"{scale_100k['msgs_per_member']:.3f} per group member, "
           f"{scale_100k['events_per_s']:,.0f} events/s)")
-    shard = _time_shard_scaleout()
-    print(f"  shard_scaleout: {shard['wall_s']:.2f}s wall "
-          f"({shard['scaleout_x']:.1f}x qps at 8 front-ends vs 1)")
     campaign = _time_campaign()
     print(f"  campaign[{campaign['campaign']}]: "
           f"{campaign['wall_s']:.2f}s wall ({campaign['queries']} queries, "
@@ -350,7 +327,6 @@ def main() -> int:
             "fig17_throughput": fig17,
             "scale": scale,
             "scale_100k": scale_100k,
-            "shard_scaleout": shard,
             "campaign": campaign,
             "chaos": chaos,
             "standing_churn": standing,

@@ -61,13 +61,7 @@ class CampaignRunner:
         self.spec = spec
         self.plane = plane
         self.rng = random.Random(spec.seed)
-        ttl = float(spec.node_config.get("result_cache_ttl", 0.0))
-        self.checker = InvariantChecker(
-            spec.oracle,
-            plane,
-            seed=spec.seed,
-            result_cache_ttl=ttl if ttl > 0 else None,
-        )
+        self.checker = InvariantChecker(spec.oracle, plane, seed=spec.seed)
         #: True when the live membership matches what a centralized scan
         #: would see (no churn applied since the last full quiesce).
         self._stable = True

@@ -2,17 +2,15 @@
 
 Every campaign run is also a test run.  After each query batch (and at
 every phase boundary) the :class:`InvariantChecker` validates the system
-against five invariants, recording a violation dict for each breach:
+against four invariants, recording a violation dict for each breach:
 
 ``differential``
     Sampled query answers must match the centralized oracle
     (:func:`repro.baselines.centralized_answer`) folded over the live
     attribute stores -- the same ground truth the paper's Figure 15
-    baseline computes, minus the network.  Answers served from a root's
-    TTL'd result cache are allowed to lag ground truth by at most the
-    result's reported ``cache_age`` (checked separately by the
-    staleness invariant); batches that overlapped a membership change
-    are skipped (trees may legitimately be mid-repair).
+    baseline computes, minus the network.  Batches that overlapped a
+    membership change are skipped (trees may legitimately be
+    mid-repair).
 
 ``probes``
     One wire probe per group, cluster-wide: within one concurrent
@@ -25,10 +23,6 @@ against five invariants, recording a violation dict for each breach:
     table in the plane (front-end pending queries / probes / shared
     waits, node execution tables, shared-cache probe registry) must be
     empty.
-
-``staleness``
-    The TTL contract: a root-cached answer's ``cache_age`` must never
-    exceed the configured result-cache TTL.
 
 ``standing``
     The standing-query contract: at every quiesced phase boundary the
@@ -48,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from repro.baselines.centralized import centralized_answer
 from repro.core.messages import SIZE_PROBE
@@ -94,7 +88,6 @@ class InvariantChecker:
         spec: OracleSpec,
         plane: CampaignPlane,
         seed: int = 0,
-        result_cache_ttl: Optional[float] = None,
     ) -> None:
         self.spec = spec
         self.plane = plane
@@ -102,10 +95,6 @@ class InvariantChecker:
         #: workload's random choices (reports stay reproducible whether
         #: or not checks are enabled).
         self._rng = random.Random((seed << 8) ^ 0x0AC1E)
-        #: the node-side result-cache TTL the staleness invariant
-        #: enforces; None when the result cache is disabled (then every
-        #: root_cached answer is itself a violation).
-        self.result_cache_ttl = result_cache_ttl
         self.violations: list[dict] = []
         self.checked = 0
         self.sampled = 0
@@ -146,8 +135,8 @@ class InvariantChecker:
         ``before`` is the wire-stats snapshot taken just before the
         batch was submitted; ``membership_stable`` is False when any
         churn/failure/join was applied since the previous quiesce, which
-        suppresses the differential check (the staleness and probe
-        checks still run -- their contracts hold under churn).
+        suppresses the differential check (the probe check still runs --
+        its contract holds under churn).
         """
         self.checked += len(results)
         if self.spec.check_probes:
@@ -160,8 +149,6 @@ class InvariantChecker:
                 # explicit failure is exempt (and counted).
                 self.explicit_failures += 1
                 continue
-            if self.spec.check_staleness:
-                self._check_staleness(phase, text, result)
             if not self.spec.check_differential:
                 continue
             if not membership_stable:
@@ -178,11 +165,6 @@ class InvariantChecker:
         expected = self._ground_truth(result.query)
         if values_equal(result.value, expected, self.spec.tolerance):
             return
-        # A root-cached answer may legitimately lag ground truth: the
-        # TTL contract bounds *how long*, not *whether*.  The staleness
-        # invariant separately enforces the bound.
-        if result.root_cached and result.cache_age > 0:
-            return
         self._record(
             "differential",
             {
@@ -190,38 +172,8 @@ class InvariantChecker:
                 "query": text,
                 "got": result.value,
                 "expected": expected,
-                "root_cached": result.root_cached,
-                "cache_age": result.cache_age,
             },
         )
-
-    def _check_staleness(
-        self, phase: str, text: str, result: QueryResult
-    ) -> None:
-        if not result.root_cached:
-            return
-        if self.result_cache_ttl is None:
-            self._record(
-                "staleness",
-                {
-                    "phase": phase,
-                    "query": text,
-                    "detail": "root-cached answer with result cache disabled",
-                    "cache_age": result.cache_age,
-                },
-            )
-            return
-        # Small epsilon: the cache serves entries at exactly age == TTL.
-        if result.cache_age > self.result_cache_ttl + 1e-9:
-            self._record(
-                "staleness",
-                {
-                    "phase": phase,
-                    "query": text,
-                    "cache_age": result.cache_age,
-                    "ttl": self.result_cache_ttl,
-                },
-            )
 
     def _check_probe_budget(
         self, phase: str, queries: list[str], before: StatsSnapshot

@@ -63,7 +63,6 @@ def latency_summary(results: list[QueryResult]) -> dict:
 def _cache_summary(results: list[QueryResult]) -> dict:
     return {
         "plan_cached": sum(1 for r in results if r.plan_cached),
-        "root_cached": sum(1 for r in results if r.root_cached),
         "root_shared": sum(1 for r in results if r.root_shared),
         "shared": sum(1 for r in results if r.shared),
     }
@@ -121,8 +120,6 @@ def final_report(
             "queries": sum(p["queries"] for p in phases),
             "batches": sum(p["batches"] for p in phases),
             "messages": sum(p["messages"]["total"] for p in phases),
-            "root_cache_hits": stats.root_cache_hits,
-            "root_cache_misses": stats.root_cache_misses,
             "root_subscriptions": stats.root_subscriptions,
             "shared_probe_joins": stats.shared_probe_joins,
             "standing": plane.standing_stats(),

@@ -176,7 +176,6 @@ class OracleSpec:
     check_differential: bool = True
     check_probes: bool = True
     check_inflight: bool = True
-    check_staleness: bool = True
     probe_slack: int = 0
     tolerance: float = 1e-9
 
@@ -245,7 +244,6 @@ ORACLE_KEYS = frozenset(
         "check_differential",
         "check_probes",
         "check_inflight",
-        "check_staleness",
         "probe_slack",
         "tolerance",
     }
@@ -257,12 +255,6 @@ NODE_CONFIG_KEYS = frozenset(
         "threshold",
         "child_timeout",
         "answered_ttl",
-        "result_cache_ttl",
-        "result_cache_size",
-        "result_cache_ttl_min",
-        "result_cache_eviction",
-        "adaptive_result_ttl",
-        "churn_window",
         "share_executions",
     }
 )

@@ -23,8 +23,8 @@ Key modules:
 * :mod:`repro.core.adapt` -- dynamic-maintenance adaptation policy.
 * :mod:`repro.core.planner` -- Section 6 composite-query planning.
 * :mod:`repro.core.plan_cache` -- front-end plan & group-size caches.
-* :mod:`repro.core.result_cache` -- root-side result cache and
-  cross-front-end in-flight execution sharing.
+* :mod:`repro.core.inflight` -- root-side, cross-front-end in-flight
+  execution sharing.
 * :mod:`repro.core.parser` -- the SQL-like query language.
 * :mod:`repro.core.aggregation` -- partially aggregatable functions.
 * :mod:`repro.core.relations` -- Figure 8 semantic-relation inference.
@@ -62,12 +62,7 @@ from repro.core.plan_cache import (
     SharedGroupSizeCache,
 )
 from repro.core.shard_router import FrontendShardRouter, canonical_query_text
-from repro.core.result_cache import (
-    CachedResult,
-    InflightTable,
-    ResultCache,
-    ResultCacheStats,
-)
+from repro.core.inflight import InflightTable
 from repro.core.planner import (
     QueryPlan,
     SemanticContext,
@@ -116,10 +111,7 @@ __all__ = [
     "MoaraError",
     "MoaraNode",
     "NodeConfig",
-    "CachedResult",
     "InflightTable",
-    "ResultCache",
-    "ResultCacheStats",
     "Or",
     "ParseError",
     "PlanningError",

@@ -1,20 +1,18 @@
-"""Churn-adaptive TTLs for the query-plane caches.
+"""Churn-adaptive TTLs for the front-end group-size caches.
 
-PR 1 and PR 2 gave both cache tiers a *fixed* TTL
-(``FrontendConfig.size_cache_ttl`` for group-size estimates,
-``MoaraConfig.result_cache_ttl`` for root-side results).  A fixed TTL is
-the wrong knob under heterogeneous churn: a stable infrastructure group
-could be cached for minutes, while a group whose membership flaps every
-few seconds serves stale answers for the whole TTL.  This module makes
-the TTL a *per-entry* function of observed churn:
+PR 1 gave the group-size cache a *fixed* TTL
+(``FrontendConfig.size_cache_ttl``).  A fixed TTL is the wrong knob
+under heterogeneous churn: a stable infrastructure group's size could be
+cached for minutes, while a group whose membership flaps every few
+seconds keeps a stale cost estimate for the whole TTL.  This module
+makes the TTL a *per-entry* function of observed churn:
 
 * :class:`ChurnTracker` -- an exponentially-decayed event-rate estimator
   (events/second) per key, plus one global stream for cluster-wide
   signals (overlay membership changes).  Both signal sources the system
   already sees feed it for free: ``on_membership_change`` callbacks and
-  the per-group protocol traffic (``STATUS_UPDATE`` arrivals at roots,
-  changed cost estimates observed by front-ends on probe/piggyback
-  replies).
+  the changed cost estimates front-ends observe on probe/piggyback
+  replies.
 * :class:`AdaptiveTTL` -- maps a key's observed churn rate to a TTL
   clamped into ``[ttl_min, ttl_max]``.  The mapping is the natural one:
   cache an entry for about the expected interval between churn events
@@ -23,9 +21,8 @@ the TTL a *per-entry* function of observed churn:
   storm cannot disable caching entirely).
 
 Zero observed churn therefore reproduces the fixed-TTL behaviour
-exactly (every entry gets ``ttl_max``), which is what keeps the
-PR 1/PR 2 configurations -- and ``FrontendConfig.uncached()`` /
-``MoaraConfig.uncached()`` -- bit-compatible.
+exactly (every entry gets ``ttl_max``), which is what keeps the PR 1
+configuration -- and ``FrontendConfig.uncached()`` -- bit-compatible.
 
 The tracker is deliberately approximate and O(1) per event: rates decay
 with a configurable half-life-style ``window`` and are only updated on
@@ -81,8 +78,8 @@ class ChurnTracker:
             self._prune(now)
 
     def record(self, key: str, now: float) -> None:
-        """Count one churn event for ``key`` (e.g. a STATUS_UPDATE for a
-        group, or a cost estimate that changed between observations)."""
+        """Count one churn event for ``key`` (e.g. a cost estimate that
+        changed between observations)."""
         self._bump(key, now)
 
     def record_global(self, now: float) -> None:
@@ -121,8 +118,8 @@ class AdaptiveTTL:
     """Per-entry TTL policy: cache for about the expected interval
     between churn events, clamped into ``[ttl_min, ttl_max]``.
 
-    ``ttl_max`` is the old fixed TTL (zero churn keeps the exact PR 1 /
-    PR 2 behaviour); ``ttl_min`` bounds how far a churn storm can shrink
+    ``ttl_max`` is the old fixed TTL (zero churn keeps the exact PR 1
+    behaviour); ``ttl_min`` bounds how far a churn storm can shrink
     entries, so caching degrades instead of collapsing.
     """
 
@@ -150,8 +147,8 @@ class AdaptiveTTL:
         or the cache itself is disabled (``ttl_max <= 0``).
 
         The one construction rule shared by every tier (front-end size
-        caches, the shared tier, node result caches), so the enable
-        condition cannot drift between them.
+        caches and the shared tier), so the enable condition cannot
+        drift between them.
         """
         if not enabled or ttl_max <= 0:
             return None

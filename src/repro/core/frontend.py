@@ -189,13 +189,9 @@ class _SharedSubQuery:
     #: engine event count at dispatch; joinable only within the same
     #: synchronous burst (no events processed in between)
     created_seq: int = 0
-    #: cover groups whose reply carried the root-cache ``cached`` flag
-    cached_groups: int = 0
     #: cover groups whose reply carried the ``subscribed`` flag (the root
     #: answered us from an identical in-flight execution)
     subscribed_groups: int = 0
-    #: worst-case staleness over the cached replies (max ``cache_age``)
-    max_cache_age: float = 0.0
     #: set when a transport-link failure resolved this share NULL: the
     #: fan-out marks every subscriber's result as explicitly failed
     failed: bool = False
@@ -587,9 +583,9 @@ class Frontend:
                     "query": pending.query,
                     "predicate": group,
                     # The full chosen cover: roots use it to decide
-                    # whether this execution's result is reusable across
-                    # query ids (single-group covers only; see
-                    # repro.core.result_cache).
+                    # whether this execution can be shared across query
+                    # ids (single-group covers only; see
+                    # repro.core.inflight).
                     "cover": tuple(pending.cover),
                 },
             )
@@ -605,14 +601,8 @@ class Frontend:
         if share is None or key not in share.waiting:
             return
         share.waiting.discard(key)
-        # Root-side optimization metadata (see repro.core.result_cache):
-        # surfaced per query so consumers can see how their answer was
-        # produced and how stale it may be.
-        if payload.get("cached"):
-            share.cached_groups += 1
-            share.max_cache_age = max(
-                share.max_cache_age, payload.get("cache_age", 0.0)
-            )
+        # Root-side sharing (see repro.core.inflight), surfaced per query
+        # so consumers can see how their answer was produced.
         if payload.get("subscribed"):
             share.subscribed_groups += 1
         part = payload["partial"]
@@ -636,9 +626,6 @@ class Frontend:
         now = self.network.now
         shared_messages = self.network.stats.pop_tag(share.share_id)
         value = share.query.function.finalize(share.partial)
-        root_cached = (
-            bool(share.cover) and share.cached_groups == len(share.cover)
-        )
         root_shared = share.subscribed_groups > 0
         for index, qid in enumerate(share.subscribers):
             pending = self._pending_queries.pop(qid, None)
@@ -660,9 +647,7 @@ class Frontend:
                 probe_latency=pending.probe_latency,
                 shared=pending.shared,
                 plan_cached=pending.plan_cached,
-                root_cached=root_cached,
                 root_shared=root_shared,
-                cache_age=share.max_cache_age,
                 failed=share.failed,
                 failure=share.failure,
             )
@@ -676,7 +661,6 @@ class Frontend:
                     probe_latency=pending.probe_latency,
                     shard=self.shard_id,
                     shared=pending.shared,
-                    root_cached=root_cached,
                     root_shared=root_shared,
                     completed_at=now,
                 )

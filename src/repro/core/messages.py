@@ -31,9 +31,7 @@ Payload schemas
 
 ``STATUS_UPDATE`` (child -> DHT parent, Sections 4-5):
     ``predicate``, ``update_set`` (the child's updateSet; empty set =
-    PRUNE), ``subtree_recv``, ``last_seen_seq``.  Receipt also
-    invalidates the parent's cached root results for that tree (group
-    membership under it changed; see :mod:`repro.core.result_cache`).
+    PRUNE), ``subtree_recv``, ``last_seen_seq``.
     Sent on its own only for reports raised outside a query (attribute
     change, reconfiguration) or whose reply goes elsewhere or later:
     to the front-end, to a non-parent ancestor (separate query plane),
@@ -55,25 +53,20 @@ Payload schemas
     ``qid`` (the front-end's share id), ``query``, ``predicate`` the
     cover group this root owns, and ``cover`` -- the full chosen cover
     (tuple of canonical group keys), piggybacked so the root can decide
-    whether the execution's result is reusable across query ids
-    (single-group covers only; see :mod:`repro.core.result_cache`).
+    whether the execution can be shared across query ids
+    (single-group covers only; see :mod:`repro.core.inflight`).
 
 ``FRONTEND_RESPONSE`` (tree root -> front-end):
-    the ``QUERY_RESPONSE`` schema, plus piggybacked cache metadata:
+    the ``QUERY_RESPONSE`` schema, plus piggybacked metadata:
 
     * ``cost`` -- every root reply carries the same ``2 * np`` estimate
       a ``SIZE_PROBE`` would return, so warm front-ends skip the probe
       round-trip entirely;
-    * ``cached`` / ``cache_age`` -- present when the answer was served
-      from the root's TTL'd result cache with zero tree messages
-      (``cache_age`` bounds its staleness);
     * ``subscribed`` -- present when the answer came from subscribing
       this request to an identical in-flight execution (cross-front-end
       sub-query sharing).
 
-    Front-ends surface these per query as
-    :attr:`~repro.core.query.QueryResult.root_cached`,
-    :attr:`~repro.core.query.QueryResult.cache_age`, and
+    Front-ends surface ``subscribed`` per query as
     :attr:`~repro.core.query.QueryResult.root_shared`.
 
 Standing-query plane (:mod:`repro.standing`)

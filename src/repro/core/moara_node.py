@@ -12,11 +12,10 @@ an agent running at each node that monitors the node and populates
 * lazily aggregated subtree receive-counts serving size probes (Section 6.3);
 * reconfiguration handling: re-announcing state to a new parent and
   resolving in-flight queries when nodes fail (Section 7);
-* beyond the paper, the root-side optimization layer of
-  :mod:`repro.core.result_cache`: a node answering ``FRONTEND_QUERY``
+* beyond the paper, root-side execution sharing
+  (:mod:`repro.core.inflight`): a node answering ``FRONTEND_QUERY``
   messages as a tree root subscribes identical in-flight sub-queries
-  (from any front-end) to one execution, and optionally serves repeats
-  from a TTL'd result cache with zero tree messages.
+  (from any front-end) to one execution.
 
 Reply-path metadata piggybacking
 --------------------------------
@@ -26,10 +25,9 @@ These ride on replies instead of costing extra messages:
 * every **root** reply (``FRONTEND_RESPONSE``) carries the ``2 * np``
   query-cost estimate (``cost``) that a ``SIZE_PROBE`` would have
   returned, feeding the front-end's group-size cache for free;
-* a root reply served from the result cache carries ``cached`` /
-  ``cache_age`` and one served from a shared in-flight execution
-  carries ``subscribed``, so front-ends can surface root-cache hits per
-  query (see :class:`~repro.sim.stats.QueryRecord`);
+* a root reply served from a shared in-flight execution carries
+  ``subscribed``, so front-ends can surface shared answers per query
+  (see :class:`~repro.sim.stats.QueryRecord`);
 * every **internal** reply (``QUERY_RESPONSE``) carries the child's
   ``subtree_recv`` estimate, lazily refreshing the parent's ``np``
   bookkeeping (Section 6.3);
@@ -61,16 +59,11 @@ from typing import AbstractSet, Any, Callable, Optional, Sequence
 
 from repro.core import messages as mt
 from repro.core.adapt import AdaptationConfig, Adaptor
-from repro.core.adaptive_ttl import AdaptiveTTL
 from repro.core.attributes import AttributeStore
 from repro.core.gc import GCPolicy, NoGC
 from repro.core.predicates import Predicate, SimplePredicate, TruePredicate
+from repro.core.inflight import InflightTable, execution_key
 from repro.core.query import Query, STAR_ATTRIBUTE
-from repro.core.result_cache import (
-    InflightTable,
-    ResultCache,
-    execution_key,
-)
 from repro.core.tree_state import PredicateTreeState, PrunedLeaf
 from repro.pastry.overlay import Overlay
 from repro.sim.engine import EventHandle
@@ -115,34 +108,6 @@ class MoaraConfig:
     #: idle-timeout, keep-last-k, and least-frequently-queried; see
     #: :mod:`repro.core.gc`).  None keeps state forever.
     gc_policy_factory: Optional[Callable[[], GCPolicy]] = None
-    #: Seconds a root keeps a finished sub-query result servable from its
-    #: :class:`~repro.core.result_cache.ResultCache`.  0 (the default)
-    #: disables root-side result caching: a cached answer may be stale by
-    #: up to this TTL, so enabling it is an explicit staleness contract.
-    result_cache_ttl: float = 0.0
-    #: LRU bound on cached results per node.
-    result_cache_size: int = 512
-    #: Victim-selection policy when the result cache is full: ``"lru"``
-    #: (the PR 2 behaviour) or ``"hot"`` -- metrics-driven eviction that
-    #: drops the least-*hit* entry instead of the least-recent one, so a
-    #: repeatedly refreshed dashboard query survives a scan of one-off
-    #: queries under memory pressure (see
-    #: :class:`~repro.core.result_cache.ResultCache`).
-    result_cache_eviction: str = "lru"
-    #: Lower bound for churn-adaptive result-cache TTLs: a churn storm
-    #: can shrink an entry's lifetime to this, never below (caching
-    #: degrades gracefully instead of collapsing).  ``result_cache_ttl``
-    #: is the upper bound -- the old fixed global, which zero observed
-    #: churn reproduces exactly.
-    result_cache_ttl_min: float = 1.0
-    #: Scale each cached entry's TTL by the owning group's observed churn
-    #: (STATUS_UPDATE rate at this root plus overlay membership events)
-    #: between ``result_cache_ttl_min`` and ``result_cache_ttl``.  Off =
-    #: the PR 2 fixed-TTL behaviour.
-    adaptive_result_ttl: bool = True
-    #: Decay window (seconds) of the churn-rate estimator feeding the
-    #: adaptive TTLs (see :mod:`repro.core.adaptive_ttl`).
-    churn_window: float = 30.0
     #: Subscribe identical sub-queries (from any front-end) to an already
     #: in-flight execution instead of re-walking the tree.  Staleness-free
     #: (every subscriber sees the same fresh execution), hence on by
@@ -152,24 +117,11 @@ class MoaraConfig:
     def __post_init__(self) -> None:
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if self.result_cache_size < 1:
-            raise ValueError("result_cache_size must be >= 1")
-        if self.result_cache_eviction not in ("lru", "hot"):
-            raise ValueError(
-                f"result_cache_eviction must be 'lru' or 'hot', "
-                f"not {self.result_cache_eviction!r}"
-            )
-        if self.result_cache_ttl_min < 0:
-            raise ValueError("result_cache_ttl_min must be >= 0")
-        if self.churn_window <= 0:
-            raise ValueError("churn_window must be positive")
 
     @classmethod
     def uncached(cls, **overrides: Any) -> "MoaraConfig":
-        """The PR 1 node: no root result cache, no execution sharing."""
-        overrides.setdefault("result_cache_ttl", 0.0)
+        """The PR 1 node: no execution sharing."""
         overrides.setdefault("share_executions", False)
-        overrides.setdefault("adaptive_result_ttl", False)
         return cls(**overrides)
 
 
@@ -189,15 +141,9 @@ class _PendingQuery:
     partial: Any
     contributors: int
     timeout_handle: Optional[EventHandle] = None
-    #: result-cache/in-flight identity when this node is the root and the
-    #: execution's result is reusable (single-group cover); None otherwise.
+    #: in-flight identity when this node is the root and the execution's
+    #: result is reusable (single-group cover); None otherwise.
     exec_key: Optional[tuple] = None
-    #: True when the aggregation was resolved without every child's
-    #: answer (child timeout or churn, Section 7).  The truncated partial
-    #: is still delivered -- and fanned out to subscribers -- but never
-    #: cached: a known-incomplete aggregate must not be served as fresh
-    #: for a whole TTL.
-    truncated: bool = False
 
 
 class MoaraNode:
@@ -268,29 +214,6 @@ class MoaraNode:
         self._gc_enabled = type(self.gc_policy) is not NoGC
         #: engine time of the next duplicate-suppression rotation.
         self._rotate_at = self._engine.now + self.config.answered_ttl
-        #: churn-adaptive TTL policy for the result cache (None when the
-        #: cache is disabled or the operator pinned a fixed TTL).  Each
-        #: node tracks churn it observes itself -- STATUS_UPDATE arrivals
-        #: per group tree plus overlay membership events -- which is the
-        #: information a deployed, decentralized root would have.
-        self._ttl_policy: Optional[AdaptiveTTL] = AdaptiveTTL.if_enabled(
-            self.config.adaptive_result_ttl,
-            self.config.result_cache_ttl_min,
-            self.config.result_cache_ttl,
-            self.config.churn_window,
-        )
-        #: root-side TTL'd result cache (disabled unless configured).
-        self.result_cache = ResultCache(
-            ttl=self.config.result_cache_ttl,
-            maxsize=self.config.result_cache_size,
-            ttl_policy=self._ttl_policy,
-            on_ttl=(
-                network.stats.record_adaptive_ttl
-                if self._ttl_policy is not None
-                else None
-            ),
-            eviction=self.config.result_cache_eviction,
-        )
         #: in-flight executions rooted here, joinable by identical requests.
         self.inflight = InflightTable()
         #: True while a QUERY / QUERY_RESPONSE handler is in the stretch
@@ -521,10 +444,6 @@ class MoaraNode:
     # ------------------------------------------------------------------
 
     def _on_attribute_change(self, name: str, old: Any, new: Any) -> None:
-        # A local update changes this node's own contribution to any
-        # aggregate fed by the attribute: drop affected cached results.
-        if self.result_cache.enabled:
-            self.result_cache.invalidate_attr(name)
         for state in self._entries():
             if name not in state.predicate.attributes():
                 continue
@@ -628,18 +547,6 @@ class MoaraNode:
     ) -> None:
         """A child's status report, standalone (``STATUS_UPDATE`` /
         ``STATE_SYNC``) or riding its ``QUERY_RESPONSE``."""
-        # A child report means group membership (or routing) under us
-        # changed for this tree: cached results for it may be stale.
-        if self.result_cache.enabled:
-            dropped = self.result_cache.invalidate_group(state.pred_key)
-            if dropped and self._ttl_policy is not None:
-                # The STATUS_UPDATE rate is the group's churn signal --
-                # but only reports that actually cost us cached data
-                # count, so the one-time report storm of initial group
-                # definition (before anything is cached) does not read
-                # as churn.  Future entries for this tree get shorter
-                # TTLs while the invalidation rate stays high.
-                self._ttl_policy.observe(state.pred_key, self._engine.now)
         state.record_child_report(child, frozenset(update_set), subtree_recv)
         self._recompute(state)
 
@@ -650,12 +557,10 @@ class MoaraNode:
     def _handle_frontend_query(self, message: Message) -> None:
         """A sub-query arriving at this node as the tree root.
 
-        Before walking the tree, the root consults its memory: a fresh
-        cached result answers immediately (zero tree messages), and an
-        identical in-flight execution absorbs the request as a
-        subscriber -- even when the two requests came from different
-        front-ends.  Either way the reply carries the piggybacked cache
-        metadata the front-end surfaces per query.
+        Before walking the tree, the root looks for an identical
+        in-flight execution: if one is walking, it absorbs the request as
+        a subscriber -- even when the two requests came from different
+        front-ends -- and the reply it owes carries ``subscribed``.
         """
         payload = message.payload
         state = self.get_state(payload["predicate"])
@@ -664,26 +569,9 @@ class MoaraNode:
         qid = payload["qid"]
         cover = payload.get("cover")
         exec_key = execution_key(query, pred_key, cover)
-        now = self._engine.now
-        stats = self.network.stats
-        if exec_key is not None and self.result_cache.enabled:
-            entry = self.result_cache.get(exec_key, now)
-            if entry is not None:
-                stats.root_cache_hits += 1
-                self._send_reply(
-                    state,
-                    qid,
-                    message.src,
-                    mt.FRONTEND_RESPONSE,
-                    entry.partial,
-                    entry.contributors,
-                    cache_age=now - entry.cached_at,
-                )
-                return
-            stats.root_cache_misses += 1
         if exec_key is not None and self.config.share_executions:
             if self.inflight.subscribe(exec_key, message.src, qid):
-                stats.root_subscriptions += 1
+                self.network.stats.root_subscriptions += 1
                 return
         # The root stamps each query with a sequence number (Section 4);
         # continue past our highest-seen value so a root change after churn
@@ -875,10 +763,6 @@ class MoaraNode:
 
         partial, contributed = self._local_contribution(qid, query)
         if not live_targets:
-            if exec_key is not None:
-                self._remember_result(
-                    state, exec_key, query, partial, int(contributed), now
-                )
             self._send_reply(
                 state, qid, reply_to, reply_mtype, partial, int(contributed)
             )
@@ -1004,8 +888,6 @@ class MoaraNode:
         """Child-response deadline: answer with what we have (Section 7)."""
         pending = self._pending.get(key)
         if pending is not None:
-            if pending.waiting:
-                pending.truncated = True
             self._finalize(key)
 
     def _finalize(self, key: tuple[str, str]) -> None:
@@ -1024,16 +906,6 @@ class MoaraNode:
         )
         if pending.exec_key is None:
             return
-        if not pending.truncated:
-            now = self._engine.now
-            self._remember_result(
-                state,
-                pending.exec_key,
-                pending.query,
-                pending.partial,
-                pending.contributors,
-                now,
-            )
         # Fan the single result out to every late arrival that subscribed
         # while the tree walk was in flight.  This also covers executions
         # resolved early by a timeout or by churn (Section 7): subscribers
@@ -1049,31 +921,6 @@ class MoaraNode:
                 subscribed=True,
             )
 
-    def _remember_result(
-        self,
-        state: PredicateTreeState,
-        exec_key: tuple,
-        query: Query,
-        partial: Any,
-        contributors: int,
-        now: float,
-    ) -> None:
-        """Store a finished root execution in the result cache."""
-        if not self.result_cache.enabled:
-            return
-        attrs = set(query.predicate.attributes())
-        attrs |= set(state.predicate.attributes())
-        if query.attr != STAR_ATTRIBUTE:
-            attrs.add(query.attr)
-        self.result_cache.put(
-            exec_key,
-            partial,
-            contributors,
-            group_key=state.pred_key,
-            attrs=frozenset(attrs),
-            now=now,
-        )
-
     def _send_reply(
         self,
         state: PredicateTreeState,
@@ -1082,7 +929,6 @@ class MoaraNode:
         reply_mtype: str,
         partial: Any,
         contributors: int,
-        cache_age: Optional[float] = None,
         subscribed: bool = False,
     ) -> None:
         # Inlined _is_root + _subtree_recv memo probes (one reply per
@@ -1113,11 +959,6 @@ class MoaraNode:
             "subtree_recv": subtree_recv,
             "last_seen_seq": state.last_seen_seq,
         }
-        if cache_age is not None:
-            # Served from the root result cache: tell the front-end how
-            # stale the answer may be (the TTL contract, surfaced).
-            payload["cached"] = True
-            payload["cache_age"] = cache_age
         if subscribed:
             # Served from a shared in-flight execution (cross-front-end
             # sub-query sharing): fresh data, zero marginal tree messages.
@@ -1209,17 +1050,7 @@ class MoaraNode:
         """React to overlay churn: resolve queries stuck on departed nodes,
         drop the reports of nodes that stopped being our children, and
         re-announce state to new parents.
-
-        Any overlay membership change also invalidates the entire root
-        result cache: a join or leave can re-root trees and move whole
-        subtrees under (or away from) this node, so every cached answer
-        about "the nodes below us" is suspect.
         """
-        if joined or left:
-            self.result_cache.clear()
-            if self._ttl_policy is not None:
-                # Overlay churn raises every group's observed rate.
-                self._ttl_policy.observe_global(self._engine.now)
         if left:
             for key in list(self._pending):
                 pending = self._pending.get(key)
@@ -1228,7 +1059,6 @@ class MoaraNode:
                 gone = pending.waiting & left
                 if gone:
                     # "proceed assuming a NULL response from the child"
-                    pending.truncated = True
                     pending.waiting -= gone
                     if not pending.waiting:
                         self._finalize(key)

@@ -64,17 +64,10 @@ class QueryResult:
     shared: bool = False
     #: True when the composite plan was served from the front-end plan cache
     plan_cached: bool = False
-    #: True when every sub-query in the cover was answered from a tree
-    #: root's TTL'd result cache (zero tree messages were sent; the answer
-    #: may be stale by up to :attr:`cache_age` seconds)
-    root_cached: bool = False
     #: True when at least one sub-query joined an identical in-flight
     #: execution at its root (cross-front-end sub-query sharing): same
     #: fresh tree walk, shared by every subscribed front-end
     root_shared: bool = False
-    #: worst-case staleness of the root-cached portion of the answer, in
-    #: simulated seconds (0.0 when nothing was served from a root cache)
-    cache_age: float = 0.0
     #: estimated per-group query costs the cover choice used (canonical
     #: predicate -> 2*np estimate, from size probes or the front-end's
     #: group-size cache); empty when no estimates were needed

@@ -105,9 +105,7 @@ def result_to_json(qid: str, result: QueryResult) -> dict[str, Any]:
         "message_cost": result.message_cost,
         "shared": result.shared,
         "plan_cached": result.plan_cached,
-        "root_cached": result.root_cached,
         "root_shared": result.root_shared,
-        "cache_age": result.cache_age,
         "short_circuited": result.short_circuited,
         "probed_costs": dict(result.probed_costs),
         "failed": result.failed,

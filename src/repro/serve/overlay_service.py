@@ -306,7 +306,6 @@ class OverlayService:
                         "nodes": len(cluster.overlay),
                         "engine_now": cluster.engine.now,
                         "engine_events": cluster.engine.events_processed,
-                        "root_cache_hits": stats.root_cache_hits,
                         "root_subscriptions": stats.root_subscriptions,
                     },
                 }

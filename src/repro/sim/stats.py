@@ -55,10 +55,6 @@ class QueryRecord:
     #: True when the query rode an already-in-flight shared sub-query
     #: (its marginal message cost is 0 for the shared portion).
     shared: bool = False
-    #: True when every sub-query in the cover was answered from a tree
-    #: root's TTL'd result cache (zero tree messages; answer stale by at
-    #: most the root-cache TTL).
-    root_cached: bool = False
     #: True when at least one sub-query was answered by subscribing to an
     #: identical in-flight execution at the root (cross-front-end
     #: sub-query sharing; fresh data, zero marginal tree messages).
@@ -100,12 +96,8 @@ class MessageStats:
     #: :attr:`query_log_dropped`) so endless monitoring runs stay bounded.
     max_query_log: int = 100_000
     query_log_dropped: int = 0
-    #: root-side optimization-layer counters, incremented by tree roots
-    #: (see :mod:`repro.core.result_cache`): sub-queries answered from a
-    #: root's TTL'd result cache / missed there / answered by subscribing
-    #: to an identical in-flight execution.
-    root_cache_hits: int = 0
-    root_cache_misses: int = 0
+    #: sub-queries a tree root answered by subscribing them to an
+    #: identical in-flight execution (see :mod:`repro.core.inflight`).
     root_subscriptions: int = 0
     #: sharded-query-plane counters (see repro.core.shard_router and
     #: SharedGroupSizeCache in repro.core.plan_cache): queries submitted
@@ -267,8 +259,6 @@ class MessageStats:
         self.per_query.clear()
         self.query_log.clear()
         self.query_log_dropped = 0
-        self.root_cache_hits = 0
-        self.root_cache_misses = 0
         self.root_subscriptions = 0
         self.shard_queries.clear()
         self.shard_size_hits.clear()

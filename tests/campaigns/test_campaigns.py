@@ -25,7 +25,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.core.plan_cache import SharedGroupSizeCache
-from repro.core.result_cache import InflightTable
+from repro.core.inflight import InflightTable
 
 pytestmark = pytest.mark.system
 
@@ -273,24 +273,6 @@ def test_campaign_catches_probe_storms(monkeypatch) -> None:
     report = run_campaign(spec, plane="sim")
     assert not report["ok"]
     assert report["invariants"]["by_invariant"].get("probes", 0) > 0
-
-
-# ----------------------------------------------------------------------
-# the memory-pressure knob: hot eviction must beat LRU
-# ----------------------------------------------------------------------
-
-
-def test_memory_pressure_campaign_hot_eviction_beats_lru() -> None:
-    spec = load_campaign(REPO / "campaigns" / "memory_pressure.yaml")
-    assert spec.node_config["result_cache_eviction"] == "hot"
-    hot = run_campaign(spec, plane="sim")
-    lru_config = dict(spec.node_config, result_cache_eviction="lru")
-    lru_spec = type(spec)(**{**spec.__dict__, "node_config": lru_config})
-    lru = run_campaign(lru_spec, plane="sim")
-    assert hot["ok"] and lru["ok"]
-    # The hot dashboard keeps its entry resident under "hot" eviction;
-    # plain LRU lets the one-off scan queries evict it every cycle.
-    assert hot["totals"]["root_cache_hits"] > lru["totals"]["root_cache_hits"]
 
 
 # ----------------------------------------------------------------------

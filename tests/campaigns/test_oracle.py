@@ -84,51 +84,12 @@ def test_differential_skipped_when_membership_unstable(
 
 
 # ----------------------------------------------------------------------
-# staleness
-# ----------------------------------------------------------------------
-
-
-def test_staleness_within_ttl_is_tolerated(plane: SimPlane) -> None:
-    checker = InvariantChecker(
-        OracleSpec(check_differential=False), plane, result_cache_ttl=30.0
-    )
-    text = "SELECT COUNT(*) WHERE g = true"
-    result = _result(text, 4, root_cached=True, cache_age=29.0)
-    checker.check_batch("p", [text], [result], plane.stats.snapshot(), True)
-    assert checker.violations == []
-
-
-def test_staleness_beyond_ttl_is_flagged(plane: SimPlane) -> None:
-    checker = InvariantChecker(
-        OracleSpec(check_differential=False), plane, result_cache_ttl=30.0
-    )
-    text = "SELECT COUNT(*) WHERE g = true"
-    result = _result(text, 4, root_cached=True, cache_age=31.0)
-    checker.check_batch("p", [text], [result], plane.stats.snapshot(), True)
-    assert [v["invariant"] for v in checker.violations] == ["staleness"]
-
-
-def test_root_cached_answer_without_cache_is_a_violation(
-    plane: SimPlane,
-) -> None:
-    checker = InvariantChecker(
-        OracleSpec(check_differential=False), plane, result_cache_ttl=None
-    )
-    text = "SELECT COUNT(*) WHERE g = true"
-    result = _result(text, 4, root_cached=True, cache_age=1.0)
-    checker.check_batch("p", [text], [result], plane.stats.snapshot(), True)
-    assert [v["invariant"] for v in checker.violations] == ["staleness"]
-
-
-# ----------------------------------------------------------------------
 # probe budget
 # ----------------------------------------------------------------------
 
 
 def test_probe_budget_flags_a_probe_storm(plane: SimPlane) -> None:
-    checker = InvariantChecker(
-        OracleSpec(check_differential=False, check_staleness=False), plane
-    )
+    checker = InvariantChecker(OracleSpec(check_differential=False), plane)
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     for _ in range(5):  # 5 wire probes for 1 distinct predicate attribute
@@ -142,9 +103,7 @@ def test_probe_budget_flags_a_probe_storm(plane: SimPlane) -> None:
 
 def test_probe_slack_raises_the_budget(plane: SimPlane) -> None:
     checker = InvariantChecker(
-        OracleSpec(
-            check_differential=False, check_staleness=False, probe_slack=4
-        ),
+        OracleSpec(check_differential=False, probe_slack=4),
         plane,
     )
     text = "SELECT COUNT(*) WHERE g = true"

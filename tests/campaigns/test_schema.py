@@ -146,7 +146,6 @@ def test_every_shipped_campaign_validates() -> None:
         "datacenter_rollout",
         "diurnal_load",
         "flash_crowd",
-        "memory_pressure",
         "overlay_churn",
         "smoke",
         "standing_social",
@@ -164,7 +163,7 @@ def test_schema_key_union_is_complete() -> None:
         "arrival",
         "detection_delay",
         "sample_rate",
-        "result_cache_eviction",
+        "share_executions",
         "dedupe_probes",
         "standing",
         "cancel_at",

@@ -9,18 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    AdaptationConfig,
-    FrontendConfig,
-    MaintenancePolicy,
-    MoaraCluster,
-    MoaraConfig,
-)
+from repro.core import FrontendConfig, MoaraCluster, MoaraConfig
 from repro.core.adaptive_ttl import AdaptiveTTL, ChurnTracker
-from repro.core.moara_node import group_attribute
-from repro.core.parser import parse_predicate
 from repro.core.plan_cache import GroupSizeCache
-from repro.core.result_cache import ResultCache
 
 
 # ----------------------------------------------------------------------
@@ -135,124 +126,18 @@ def test_size_cache_assigns_per_entry_ttls() -> None:
     assert assigned and min(assigned) == 5.0 and max(assigned) == 60.0
 
 
-def test_result_cache_assigns_per_entry_ttls_by_group() -> None:
-    policy = AdaptiveTTL(1.0, 20.0, ChurnTracker(window=10.0))
-    cache = ResultCache(ttl=20.0, maxsize=8, ttl_policy=policy)
-    for _ in range(500):
-        policy.observe("(flappy = true)", now=0.0)
-    cache.put(
-        ("cpu", "SUM", "(flappy = true)", "(flappy = true)"),
-        1.0,
-        1,
-        group_key="(flappy = true)",
-        attrs=frozenset({"flappy"}),
-        now=0.0,
-    )
-    cache.put(
-        ("cpu", "SUM", "(stable = true)", "(stable = true)"),
-        2.0,
-        1,
-        group_key="(stable = true)",
-        attrs=frozenset({"stable"}),
-        now=0.0,
-    )
-    flappy = cache._entries[("cpu", "SUM", "(flappy = true)", "(flappy = true)")]
-    stable = cache._entries[("cpu", "SUM", "(stable = true)", "(stable = true)")]
-    assert flappy.expires_at - flappy.cached_at == 1.0  # clamped to min
-    assert stable.expires_at - stable.cached_at == 20.0  # full max
-
-
 # ----------------------------------------------------------------------
-# end-to-end: node-side churn shortens root-cache TTLs
+# the uncached configurations
 # ----------------------------------------------------------------------
 
-TTL = 10.0
 TEXT = "SELECT COUNT(*) WHERE g = true"
-
-
-def _cluster(frontend_config=None, **config_kwargs) -> MoaraCluster:
-    # ALWAYS_UPDATE maintenance so group-membership flaps generate the
-    # STATUS_UPDATE traffic the root's churn tracker feeds on (under the
-    # adaptive policy a pruned member's flap is a *silent* update, which
-    # is by contract only TTL-bounded, not churn-visible).
-    config_kwargs.setdefault(
-        "adaptation",
-        AdaptationConfig(policy=MaintenancePolicy.ALWAYS_UPDATE),
-    )
-    c = MoaraCluster(
-        32,
-        seed=96,
-        config=MoaraConfig(
-            result_cache_ttl=TTL, result_cache_ttl_min=1.0, **config_kwargs
-        ),
-        frontend_config=frontend_config,
-    )
-    c.set_group("g", c.node_ids[:8])
-    return c
-
-
-def _g_tree_key(c: MoaraCluster) -> int:
-    return c.overlay.space.hash_name(
-        group_attribute(parse_predicate("g = true"))
-    )
-
-
-def _root_entry_ttl(c: MoaraCluster) -> float:
-    root = c.nodes[c.overlay.root(_g_tree_key(c))]
-    entry = next(iter(root.result_cache._entries.values()))
-    return entry.expires_at - entry.cached_at
-
-
-def test_stable_group_gets_the_full_ttl() -> None:
-    c = _cluster()
-    c.query(TEXT)
-    assert _root_entry_ttl(c) == TTL
-    # And the histogram recorded the assignment.
-    assert sum(c.stats.adaptive_ttl_hist.values()) >= 1
-
-
-def test_group_churn_storm_shrinks_the_cached_ttl_to_the_min() -> None:
-    c = _cluster()
-    # Flap a *direct DHT child* of the g-tree root in and out of the
-    # group, so every flap's STATUS_UPDATE lands at the root (a deeper
-    # member's report can be absorbed mid-tree by set compression).
-    tree_key = _g_tree_key(c)
-    root_id = c.overlay.root(tree_key)
-    flapper = c.overlay.children(root_id, tree_key)[0]
-    for i in range(60):
-        # Cache a result, then flap the group: the STATUS_UPDATE that
-        # invalidates it is a churn observation at the root.
-        c.query(TEXT)
-        c.set_attribute(flapper, "g", i % 2 == 1)
-        c.run_until_idle()
-    c.query(TEXT)
-    assert _root_entry_ttl(c) == 1.0  # clamped at result_cache_ttl_min
-    buckets = c.stats.adaptive_ttl_hist
-    assert buckets.get("<=1s", 0) >= 1
-
-
-def test_adaptive_off_reproduces_the_fixed_ttl() -> None:
-    c = _cluster(
-        adaptive_result_ttl=False,
-        # Also pin the frontend size tier, so the histogram assertion
-        # below sees no adaptive assignments from either side.
-        frontend_config=FrontendConfig(adaptive_size_ttl=False),
-    )
-    flapper = c.node_ids[0]
-    for i in range(20):
-        c.query(TEXT)
-        c.set_attribute(flapper, "g", i % 2 == 1)
-        c.run_until_idle()
-    c.query(TEXT)
-    assert _root_entry_ttl(c) == TTL  # fixed, churn-blind
-    assert sum(c.stats.adaptive_ttl_hist.values()) == 0
 
 
 def test_uncached_configs_reproduce_the_seed() -> None:
     fc = FrontendConfig.uncached()
     assert fc.size_cache_ttl == 0.0 and not fc.adaptive_size_ttl
     mc = MoaraConfig.uncached()
-    assert mc.result_cache_ttl == 0.0 and not mc.adaptive_result_ttl
+    assert not mc.share_executions
     c = MoaraCluster(
         16, seed=97, config=mc, frontend_config=fc
     )

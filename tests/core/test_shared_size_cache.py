@@ -10,6 +10,8 @@ and disabling the tier reproduces the PR 2 private-cache behaviour.
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 from repro.core import MoaraCluster
@@ -18,6 +20,7 @@ from repro.core.moara_node import group_attribute
 from repro.core.parser import parse_predicate
 from repro.core.plan_cache import SharedGroupSizeCache
 from repro.core.shard_router import FrontendShardRouter
+from repro.sim import LANLatencyModel
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +228,56 @@ def test_uncached_frontends_keep_seed_probe_behaviour() -> None:
     # No caching, no dedup: both submissions probed both groups.
     assert c.stats.by_type[mt.SIZE_PROBE] == 4
     assert c.stats.shared_probe_joins == 0
+
+
+# ----------------------------------------------------------------------
+# probe traffic is flat in the number of front-ends
+# ----------------------------------------------------------------------
+
+#: a warm repeated dashboard over striped groups, two of which flap.
+_DASH_GROUPS = 8
+_DASH_CHURN_GROUPS = 2
+
+
+@cache
+def _dashboard_probe_count(num_frontends: int) -> int:
+    """Wire ``SIZE_PROBE`` messages for one fixed dashboard workload --
+    single-group and composite panels, repeated, with group churn
+    between rounds -- routed over ``num_frontends`` front-ends."""
+    c = MoaraCluster(
+        300,
+        seed=200,
+        latency_model=LANLatencyModel(seed=200),
+        num_frontends=num_frontends,
+    )
+    for i in range(_DASH_GROUPS):
+        c.set_group(f"S{i}", c.node_ids[i::_DASH_GROUPS][:12])
+    for rank, node_id in enumerate(c.node_ids):
+        c.set_attribute(node_id, "load", float(rank % 89))
+    stable = range(_DASH_CHURN_GROUPS, _DASH_GROUPS)
+    texts = [f"SELECT COUNT(*) WHERE S{i} = true" for i in range(_DASH_GROUPS)]
+    texts += [
+        f"SELECT AVG(load) WHERE S{i} = true AND S{i % 7 + 1} = true"
+        for i in stable
+    ]
+    flappers = {
+        i: c.members_satisfying(f"S{i} = true").pop()
+        for i in range(_DASH_CHURN_GROUPS)
+    }
+    for round_no in range(5):
+        c.query_concurrent(texts * 2)
+        for i, flapper in flappers.items():
+            c.set_attribute(flapper, f"S{i}", round_no % 2 == 1)
+        c.run(0.25)
+    return c.stats.by_type[mt.SIZE_PROBE]
+
+
+@pytest.mark.parametrize("num_frontends", [1, 2, 4, 8])
+def test_probe_count_is_flat_in_the_number_of_frontends(
+    num_frontends: int,
+) -> None:
+    """With the shared tier, adding front-ends adds no probe: one probe
+    per group cluster-wide, whichever shard needs the size."""
+    single = _dashboard_probe_count(1)
+    assert single > 0
+    assert _dashboard_probe_count(num_frontends) == single

@@ -65,11 +65,22 @@ def test_path_pattern_reads_folded_commands() -> None:
 
 
 def test_every_figure_bench_is_run_by_some_job() -> None:
+    """Every benchmark file -- the 15 figure and ablation benches and the
+    two smoke benches -- is run by some job."""
     named = {path for _, run in _run_steps() for path in _named_paths(run)}
-    figures = sorted(
+    benches = sorted(
         f"benchmarks/{path.name}"
-        for pattern in ("bench_fig*.py", "bench_ablation_*.py")
-        for path in (REPO / "benchmarks").glob(pattern)
+        for path in (REPO / "benchmarks").glob("bench_*.py")
     )
-    assert len(figures) == 15
-    assert [path for path in figures if path not in named] == []
+    assert len(benches) == 17
+    assert [path for path in benches if path not in named] == []
+    smoke = {
+        path
+        for job, run in _run_steps()
+        if job == "bench-smoke"
+        for path in _named_paths(run)
+    }
+    assert {
+        "benchmarks/bench_scale.py",
+        "benchmarks/bench_standing_churn.py",
+    } <= smoke

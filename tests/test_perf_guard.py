@@ -134,7 +134,6 @@ def _stub_benchmarks(
                              "msgs_per_query": 1.0,
                              "msgs_per_member": msgs_per_member_100k,
                              "events_per_s": 900.0},
-        "_time_shard_scaleout": {"wall_s": 3.0, "scaleout_x": 4.0},
         "_time_campaign": {
             "wall_s": 0.5,
             "campaign": "stub",
@@ -178,7 +177,7 @@ def guarded_main(perf_guard, monkeypatch, tmp_path):
     return perf_guard
 
 
-def test_main_records_all_seven_benchmarks(
+def test_main_records_all_six_benchmarks(
     guarded_main, monkeypatch, tmp_path
 ) -> None:
     _stub_benchmarks(guarded_main, monkeypatch)
@@ -191,7 +190,6 @@ def test_main_records_all_seven_benchmarks(
         "fig17_throughput",
         "scale",
         "scale_100k",
-        "shard_scaleout",
         "standing_churn",
     ]
     assert record["benchmarks"]["campaign"]["violations"] == 0
@@ -310,7 +308,6 @@ def test_main_fails_fast_on_corrupt_baseline(
         "_time_fig17",
         "_time_scale",
         "_time_scale_100k",
-        "_time_shard_scaleout",
         "_time_campaign",
         "_time_chaos",
         "_time_standing_churn",
