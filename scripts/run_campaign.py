@@ -46,7 +46,7 @@ def _summarize(report: dict) -> str:
     inv = report["invariants"]
     lines.append(
         f"oracle   : {inv['checked']} answers checked, {inv['sampled']} "
-        f"differentially sampled, {inv['skipped_epoch']} skipped (churn), "
+        f"differentially compared, {inv['skipped_epoch']} skipped (churn), "
         f"{inv['violations']} violations"
     )
     if inv["by_invariant"]:

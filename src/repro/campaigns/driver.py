@@ -61,7 +61,7 @@ class CampaignRunner:
         self.spec = spec
         self.plane = plane
         self.rng = random.Random(spec.seed)
-        self.checker = InvariantChecker(spec.oracle, plane, seed=spec.seed)
+        self.checker = InvariantChecker(spec.oracle, plane)
         #: True when the live membership matches what a centralized scan
         #: would see (no churn applied since the last full quiesce).
         self._stable = True

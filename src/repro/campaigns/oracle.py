@@ -5,7 +5,7 @@ every phase boundary) the :class:`InvariantChecker` validates the system
 against four invariants, recording a violation dict for each breach:
 
 ``differential``
-    Sampled query answers must match the centralized oracle
+    Every query answer must match the centralized oracle
     (:func:`repro.baselines.centralized_answer`) folded over the live
     attribute stores -- the same ground truth the paper's Figure 15
     baseline computes, minus the network.  Batches that overlapped a
@@ -41,7 +41,6 @@ every breach, not just the first.
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Union
 
 from repro.baselines.centralized import centralized_answer
@@ -83,20 +82,12 @@ def values_equal(a: Any, b: Any, tolerance: float = 1e-9) -> bool:
 class InvariantChecker:
     """Validates one campaign run online; accumulates violations."""
 
-    def __init__(
-        self,
-        spec: OracleSpec,
-        plane: CampaignPlane,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, spec: OracleSpec, plane: CampaignPlane) -> None:
         self.spec = spec
         self.plane = plane
-        #: private sampling stream, so oracle sampling never perturbs the
-        #: workload's random choices (reports stay reproducible whether
-        #: or not checks are enabled).
-        self._rng = random.Random((seed << 8) ^ 0x0AC1E)
         self.violations: list[dict] = []
         self.checked = 0
+        #: answers compared against the centralized recompute.
         self.sampled = 0
         #: standing-handle differential checks run at phase boundaries.
         self.standing_checked = 0
@@ -153,8 +144,6 @@ class InvariantChecker:
                 continue
             if not membership_stable:
                 self.skipped_epoch += 1
-                continue
-            if self._rng.random() >= self.spec.sample_rate:
                 continue
             self.sampled += 1
             self._check_differential(phase, text, result)

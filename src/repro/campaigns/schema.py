@@ -172,7 +172,6 @@ class PhaseSpec:
 class OracleSpec:
     """Which invariants the built-in correctness oracle enforces."""
 
-    sample_rate: float = 0.25
     check_differential: bool = True
     check_probes: bool = True
     check_inflight: bool = True
@@ -240,7 +239,6 @@ LINK_FAULT_KEYS = frozenset(
 )
 ORACLE_KEYS = frozenset(
     {
-        "sample_rate",
         "check_differential",
         "check_probes",
         "check_inflight",
@@ -606,10 +604,6 @@ def campaign_from_dict(
         raise CampaignSchemaError(f"{source}: 'settle' must be >= 0")
     if not spec.phases:
         raise CampaignSchemaError(f"{source}: at least one phase is required")
-    if not 0.0 <= spec.oracle.sample_rate <= 1.0:
-        raise CampaignSchemaError(
-            f"{source}.oracle: 'sample_rate' must be in [0, 1]"
-        )
     return spec
 
 

@@ -169,7 +169,6 @@ def _mini_campaign(**overrides) -> dict:
                 ],
             }
         ],
-        "oracle": {"sample_rate": 1.0},
     }
     doc.update(overrides)
     return doc
@@ -229,7 +228,7 @@ def test_campaign_catches_leaked_inflight_entries(monkeypatch) -> None:
         attributes=[
             {"name": "cpu", "distribution": "uniform", "low": 0, "high": 9}
         ],
-        oracle={"sample_rate": 0.0},
+        oracle={"check_differential": False},
     )
     spec = campaign_from_dict(doc)
     report = run_campaign(spec, plane="sim")
@@ -267,7 +266,7 @@ def test_campaign_catches_probe_storms(monkeypatch) -> None:
                 ],
             }
         ],
-        oracle={"sample_rate": 0.0, "check_inflight": False},
+        oracle={"check_differential": False, "check_inflight": False},
     )
     spec = campaign_from_dict(doc)
     report = run_campaign(spec, plane="sim")

@@ -50,7 +50,7 @@ def test_values_equal_structures() -> None:
 
 
 def test_differential_passes_on_true_answer(plane: SimPlane) -> None:
-    checker = InvariantChecker(OracleSpec(sample_rate=1.0), plane)
+    checker = InvariantChecker(OracleSpec(), plane)
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     results = plane.query_batch([text])
@@ -60,7 +60,7 @@ def test_differential_passes_on_true_answer(plane: SimPlane) -> None:
 
 
 def test_differential_flags_a_wrong_answer(plane: SimPlane) -> None:
-    checker = InvariantChecker(OracleSpec(sample_rate=1.0), plane)
+    checker = InvariantChecker(OracleSpec(), plane)
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     results = plane.query_batch([text])
@@ -73,7 +73,7 @@ def test_differential_flags_a_wrong_answer(plane: SimPlane) -> None:
 def test_differential_skipped_when_membership_unstable(
     plane: SimPlane,
 ) -> None:
-    checker = InvariantChecker(OracleSpec(sample_rate=1.0), plane)
+    checker = InvariantChecker(OracleSpec(), plane)
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     results = plane.query_batch([text])

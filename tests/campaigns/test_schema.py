@@ -52,7 +52,7 @@ def test_defaults_are_filled() -> None:
     assert spec.frontends == 2
     assert spec.latency == "zero"
     assert spec.batch_window == 1.0
-    assert spec.oracle.sample_rate == 0.25
+    assert spec.oracle.check_differential
 
 
 @pytest.mark.parametrize(
@@ -64,7 +64,7 @@ def test_defaults_are_filled() -> None:
         ({"phases": []}, "phase"),
         ({"node_config": {"no_such_knob": 1}}, "no_such_knob"),
         ({"frontend_config": {"no_such_knob": 1}}, "no_such_knob"),
-        ({"oracle": {"sample_rate": 2.0}}, "sample_rate"),
+        ({"oracle": {"sample_rate": 1.0}}, "sample_rate"),
     ],
 )
 def test_top_level_rejections(mutation: dict, where: str) -> None:
@@ -162,7 +162,7 @@ def test_schema_key_union_is_complete() -> None:
         "batch_window",
         "arrival",
         "detection_delay",
-        "sample_rate",
+        "check_differential",
         "share_executions",
         "dedupe_probes",
         "standing",
