@@ -355,7 +355,7 @@ class MoaraCluster:
           behaviour.
         * ``"round-robin"`` -- the PR 2 spread, deliberately scattering
           identical queries across front-ends; this is the adversarial
-          layout the node-side result cache and in-flight table absorb,
+          layout the roots' in-flight tables absorb,
           kept for those comparison workloads.
         """
         if frontends is not None and frontends < 1:

@@ -169,7 +169,7 @@ SIZE_RESPONSE = "SIZE_RESPONSE"
 FRONTEND_QUERY = "FRONTEND_QUERY"
 
 #: Root returning the aggregated answer for one sub-query to the front-end
-#: (possibly from its result cache or a shared in-flight execution).
+#: (possibly from a shared in-flight execution).
 FRONTEND_RESPONSE = "FRONTEND_RESPONSE"
 
 #: Standing subscription install, fanned down one cover tree

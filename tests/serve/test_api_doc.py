@@ -42,8 +42,3 @@ def test_query_field_table_matches_the_response_body() -> None:
     )
     assert _documented_fields() == set(result_to_json("fe-0-1", result))
 
-
-def test_the_table_parser_reads_the_shard_row_as_not_in_the_body() -> None:
-    section = _query_response_section()
-    assert "| `shard` |" in section
-    assert "shard" not in _documented_fields()
