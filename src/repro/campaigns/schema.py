@@ -252,7 +252,6 @@ NODE_CONFIG_KEYS = frozenset(
     {
         "threshold",
         "child_timeout",
-        "answered_ttl",
         "share_executions",
     }
 )

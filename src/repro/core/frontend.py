@@ -182,6 +182,9 @@ class _SharedSubQuery:
     cover: list[str]
     waiting: set[str]  # canonical keys of cover groups awaiting answers
     subscribers: list[str]  # qids, initiator first
+    #: the share's number: its ``share_id`` suffix and the ``n`` of its
+    #: stamp (see :meth:`Frontend._resolve_cover`)
+    n: int = 0
     partial: Any = None
     contributors: int = 0
     #: canonical group key -> tree root its sub-query was sent to
@@ -255,6 +258,13 @@ class Frontend:
         self._shared_waits: dict[str, list[str]] = {}
         self._qid_counter = itertools.count(1)
         self._share_counter = itertools.count(1)
+        #: this incarnation's id on every share it stamps, issued by the
+        #: transport on first use; a link failure sets it back to None
+        #: (a new origin: see :meth:`_roll_origin`).
+        self._origin: Any = None
+        #: numbers of the current origin's shares whose end is not heard
+        #: yet, in dispatch order: the first is the stamp's floor.
+        self._unheard: dict[int, None] = {}
         self._pending_queries: dict[str, _PendingQuery] = {}
         #: probe tag -> in-flight probe
         self._probes: dict[str, _ProbeInFlight] = {}
@@ -556,7 +566,8 @@ class Frontend:
                 share.subscribers.append(pending.qid)
                 pending.shared = True
                 return
-        share_id = f"sh{self.node_id}-{next(self._share_counter)}"
+        n = next(self._share_counter)
+        share_id = f"sh{self.node_id}-{n}"
         share = _SharedSubQuery(
             share_id=share_id,
             share_key=share_key,
@@ -565,7 +576,17 @@ class Frontend:
             waiting=set(pending.cover),
             subscribers=[pending.qid],
             created_seq=seq,
+            n=n,
         )
+        # The stamp every node of the walk keys its duplicate memory by:
+        # (origin, n, floor), floor the oldest share of this origin whose
+        # end is not heard yet.  Nodes forget what lies below it.
+        origin = self._origin
+        if origin is None:
+            origin = self._origin = self.network.issue_origin()
+        unheard = self._unheard
+        unheard[n] = None
+        stamp = (origin, n, next(iter(unheard)))
         if self.config.share_subqueries:
             self._shares[share_key] = share
         self._share_by_id[share_id] = share
@@ -587,6 +608,7 @@ class Frontend:
                     # ids (single-group covers only; see
                     # repro.core.inflight).
                     "cover": tuple(pending.cover),
+                    "share": stamp,
                 },
             )
 
@@ -621,6 +643,13 @@ class Frontend:
     def _fan_out(self, share: _SharedSubQuery) -> None:
         """Deliver a completed shared sub-query to every subscriber."""
         del self._share_by_id[share.share_id]
+        if share.failed:
+            # Resolved NULL, not heard: its walk may still run for a
+            # front-end joined at the root, so this origin's floor must
+            # never pass it.  Later shares go out under a new origin.
+            self._roll_origin()
+        else:
+            self._unheard.pop(share.n, None)
         if self._shares.get(share.share_key) is share:
             del self._shares[share.share_key]
         now = self.network.now
@@ -772,7 +801,11 @@ class Frontend:
         dispatch that follows may hit the dead link again, which fails
         those tags in turn — the cascade terminates with every affected
         query completed and :attr:`QueryResult.failed` set.
+
+        Any link failure starts a new origin: a relinked transport may
+        face a restarted overlay, which issues origins afresh.
         """
+        self._roll_origin()
         now = self.network.now
         for probe in [
             p
@@ -789,6 +822,14 @@ class Frontend:
             share.failure = reason
             share.waiting.clear()
             self._fan_out(share)
+
+    def _roll_origin(self) -> None:
+        """Abandon the current origin: its floor stays where the nodes
+        last heard it, so what they hold of it is bounded by the shares
+        in flight now.  The next dispatch asks the transport for a new
+        one."""
+        self._origin = None
+        self._unheard = {}
 
     def _resolve_lost_probe(self, probe: _ProbeInFlight, now: float) -> None:
         """NULL-resolve one probe whose answer will never arrive: forget

@@ -99,11 +99,6 @@ class MoaraConfig:
     #: Seconds an aggregating node waits for children before answering with
     #: what it has; None waits indefinitely (the PlanetLab methodology).
     child_timeout: Optional[float] = None
-    #: How long, at least, a node remembers answered query ids for
-    #: duplicate suppression across cover groups (paper: "cached for 5
-    #: minutes"); the memory is generational, so an id is forgotten
-    #: between one and two of these after it was seen.
-    answered_ttl: float = 300.0
     #: Factory for the per-node predicate-state GC policy (Section 4 lists
     #: idle-timeout, keep-last-k, and least-frequently-queried; see
     #: :mod:`repro.core.gc`).  None keeps state forever.
@@ -185,25 +180,18 @@ class MoaraNode:
         self._pruned: dict[str, PrunedLeaf] = {}
         self._created = 0  # creation ordinal of the next new state
         self._pending: dict[tuple[str, str], _PendingQuery] = {}
-        # Duplicate suppression keeps *membership*, not expiry times, in
-        # two generations rotated on the engine clock every
-        # ``answered_ttl`` (see :meth:`_rotate`): an id is looked up in
-        # both, so it is remembered for between 1x and 2x the TTL.  Query
-        # ids never recur, so the extra memory is invisible, and every
-        # decision inside ``answered_ttl`` is the one per-entry expiries
-        # made.  Plain ``{id: None}`` dicts: about half the bytes per
-        # entry of a small set, and a third of a tuple key + float value.
-        #: query ids whose local value we already contributed (dedup across
-        #: the multiple trees of a composite cover): current and previous
-        #: generation.
-        self._answered: dict[str, None] = {}
-        self._answered_old: dict[str, None] = {}
-        #: (query, tree) deliveries already processed (duplicate delivery
-        #: guard), current and previous generation: ``qid -> pred_key``
-        #: for a query's first tree, and a ``(qid, pred_key)`` key for each
-        #: further tree of the same query (see :meth:`_first_delivery`).
-        self._seen: dict = {}
-        self._seen_old: dict = {}
+        #: Duplicate-suppression memory, per front-end incarnation
+        #: (``origin`` of the share stamp, see :mod:`repro.core.messages`):
+        #: ``origin -> [floor, top, seen, answered]``.  ``floor`` is the
+        #: highest floor heard from that origin (shares below it ended at
+        #: their front-end); ``top`` bounds the highest share number
+        #: held; ``seen`` holds the (share, tree) deliveries processed
+        #: (``n -> pred_key`` for a share's first tree, a ``(n, pred_key)``
+        #: key for each further tree); ``answered`` the shares our local
+        #: value went into (dedup across the trees of a composite cover,
+        #: Section 6.2).  A higher floor retires what it passes (see
+        #: :meth:`_admit`), so the memory ends with the queries.
+        self._memory: dict[Any, list] = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
         factory = self.config.gc_policy_factory
@@ -212,8 +200,6 @@ class MoaraNode:
         # query; the config is set once at construction).
         self._child_timeout = self.config.child_timeout
         self._gc_enabled = type(self.gc_policy) is not NoGC
-        #: engine time of the next duplicate-suppression rotation.
-        self._rotate_at = self._engine.now + self.config.answered_ttl
         #: in-flight executions rooted here, joinable by identical requests.
         self.inflight = InflightTable()
         #: True while a QUERY / QUERY_RESPONSE handler is in the stretch
@@ -560,13 +546,21 @@ class MoaraNode:
         Before walking the tree, the root looks for an identical
         in-flight execution: if one is walking, it absorbs the request as
         a subscriber -- even when the two requests came from different
-        front-ends -- and the reply it owes carries ``subscribed``.
+        front-ends -- and the reply it owes carries ``subscribed``.  A
+        share below its origin's floor is a late copy of one whose end
+        the front-end heard: it gets the duplicate's empty reply before
+        the in-flight table is consulted, so it neither walks nor joins.
         """
         payload = message.payload
         state = self.get_state(payload["predicate"])
         pred_key = state.pred_key
-        query = payload["query"]
         qid = payload["qid"]
+        share = payload["share"]
+        memory = self._admit(share)
+        if memory is None:
+            self._send_reply(state, qid, message.src, mt.FRONTEND_RESPONSE, None, 0)
+            return
+        query = payload["query"]
         cover = payload.get("cover")
         exec_key = execution_key(query, pred_key, cover)
         if exec_key is not None and self.config.share_executions:
@@ -579,7 +573,15 @@ class MoaraNode:
         seq = max(self._seq_counters.get(pred_key, 0), state.last_seen_seq) + 1
         self._seq_counters[pred_key] = seq
         self._process_query(
-            state, qid, seq, query, message.src, mt.FRONTEND_RESPONSE, exec_key
+            state,
+            qid,
+            share,
+            memory,
+            seq,
+            query,
+            message.src,
+            mt.FRONTEND_RESPONSE,
+            exec_key,
         )
 
     def _handle_query(self, message: Message) -> None:
@@ -603,18 +605,31 @@ class MoaraNode:
             pred_key = state.pred_key
         qid = payload["qid"]
         qkey = (qid, pred_key)
-        now = self._engine.now
         reply_to = message.src
-        if now >= self._rotate_at:
-            self._rotate(now)
-        # _first_delivery, inlined.
-        seen = self._seen
-        first = seen.get(qid)
-        old = self._seen_old.get(qid)
-        if (
-            qkey in self._pending
-            or (first is not None and (first == pred_key or qkey in seen))
-            or (old is not None and (old == pred_key or qkey in self._seen_old))
+        # _admit and _first_delivery, inlined.
+        share = payload["share"]
+        origin, n, floor = share
+        memory = self._memory.get(origin)
+        if memory is not None and floor <= memory[0]:
+            if n < memory[0]:
+                # Below the floor: a late copy of a share whose end its
+                # front-end heard.  Answered like a duplicate, not walked.
+                self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
+                return
+            seen = memory[2]
+            first = seen.get(n)
+        elif memory is None or floor > memory[1]:
+            # The floor passes every share held for this origin (the
+            # sequential case): drop them all in one step.
+            seen = {}
+            self._memory[origin] = memory = [floor, n, seen, {}]
+            first = None
+        else:
+            self._retire(memory, floor)
+            seen = memory[2]
+            first = seen.get(n)
+        if qkey in self._pending or (
+            first is not None and (first == pred_key or (n, pred_key) in seen)
         ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
@@ -622,10 +637,13 @@ class MoaraNode:
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
         if first is None:
-            seen[qid] = pred_key
+            seen[n] = pred_key
+            if n > memory[1]:
+                memory[1] = n
         else:
-            seen[qkey] = pred_key
+            seen[(n, pred_key)] = pred_key
         if self._gc_enabled:
+            now = self._engine.now
             self.gc_policy.on_query(self, pred_key, now)
             for candidate in self.gc_policy.collect(self, now):
                 if candidate != pred_key:
@@ -667,7 +685,7 @@ class MoaraNode:
         live_targets = self.network.filter_alive(targets) if targets else targets
 
         query = payload["query"]
-        partial, contributed = self._local_contribution(qid, query)
+        partial, contributed = self._local_contribution(memory[3], n, query)
         if not live_targets:
             self._send_reply(
                 state, qid, reply_to, mt.QUERY_RESPONSE, partial, int(contributed)
@@ -706,6 +724,7 @@ class MoaraNode:
                 "seq": seq,
                 "query": query,
                 "predicate": state.predicate,
+                "share": share,
             },
         )
         if self._child_timeout is not None:
@@ -717,6 +736,8 @@ class MoaraNode:
         self,
         state: PredicateTreeState,
         qid: str,
+        share: tuple,
+        memory: list,
         seq: int,
         query: Query,
         reply_to: int,
@@ -725,16 +746,15 @@ class MoaraNode:
     ) -> None:
         pred_key = state.pred_key
         key = (qid, pred_key)
-        now = self._engine.now
-        if now >= self._rotate_at:
-            self._rotate(now)
-        if not self._first_delivery(qid, key, pred_key):
+        n = share[1]
+        if not self._first_delivery(memory, n, key, pred_key):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, reply_mtype, None, 0)
             return
         if self._gc_enabled:
+            now = self._engine.now
             self.gc_policy.on_query(self, pred_key, now)
             # Sweep other predicates; the one being processed right now is
             # protected by its fresh on_query recency/frequency record and
@@ -761,7 +781,7 @@ class MoaraNode:
         # The DHT's failure detector: skip targets known to be dead.
         live_targets = self.network.filter_alive(targets)
 
-        partial, contributed = self._local_contribution(qid, query)
+        partial, contributed = self._local_contribution(memory[3], n, query)
         if not live_targets:
             self._send_reply(
                 state, qid, reply_to, reply_mtype, partial, int(contributed)
@@ -793,6 +813,7 @@ class MoaraNode:
                 "seq": seq,
                 "query": query,
                 "predicate": state.predicate,
+                "share": share,
             },
         )
         if self._child_timeout is not None:
@@ -800,31 +821,61 @@ class MoaraNode:
                 self._child_timeout, self._on_timeout, key
             )
 
-    def _first_delivery(self, qid: str, qkey: tuple, pred_key: str) -> bool:
-        """Remember that ``qid`` arrived down the ``pred_key`` tree; False
-        if it did before (or is still being aggregated here)."""
+    def _admit(self, share: tuple) -> Optional[list]:
+        """The duplicate memory of ``share``'s origin, after retiring
+        what the share's floor passes; None when the share is itself
+        below the floor its origin already announced."""
+        origin, n, floor = share
+        memory = self._memory.get(origin)
+        if memory is not None and floor <= memory[0]:
+            return None if n < memory[0] else memory
+        if memory is None or floor > memory[1]:
+            self._memory[origin] = memory = [floor, n, {}, {}]
+        else:
+            self._retire(memory, floor)
+        return memory
+
+    @staticmethod
+    def _retire(memory: list, floor: int) -> None:
+        """Raise an origin's floor when some shares it holds are at or
+        above it: keep exactly those."""
+        memory[0] = floor
+        memory[2] = {
+            key: tree
+            for key, tree in memory[2].items()
+            if (key if type(key) is int else key[0]) >= floor
+        }
+        memory[3] = {n: None for n in memory[3] if n >= floor}
+
+    def _first_delivery(
+        self, memory: list, n: int, qkey: tuple, pred_key: str
+    ) -> bool:
+        """Remember that share ``n`` arrived down the ``pred_key`` tree;
+        False if it did before (or is still being aggregated here)."""
         if qkey in self._pending:
             return False
-        seen = self._seen
-        first = seen.get(qid)
-        if first is not None and (first == pred_key or qkey in seen):
-            return False
-        old = self._seen_old.get(qid)
-        if old is not None and (old == pred_key or qkey in self._seen_old):
-            return False
+        seen = memory[2]
+        first = seen.get(n)
         if first is None:
-            seen[qid] = pred_key
-        else:
-            seen[qkey] = pred_key
+            seen[n] = pred_key
+            if n > memory[1]:
+                memory[1] = n
+            return True
+        if first == pred_key or (n, pred_key) in seen:
+            return False
+        seen[(n, pred_key)] = pred_key
         return True
 
-    def _local_contribution(self, qid: str, query: Query) -> tuple[Any, bool]:
-        """Our own (value, contributed) for a query, with composite-cover
-        duplicate suppression (Section 6.2)."""
+    def _local_contribution(
+        self, answered: dict, n: int, query: Query
+    ) -> tuple[Any, bool]:
+        """Our own (value, contributed) for share ``n`` of a query, with
+        composite-cover duplicate suppression (Section 6.2): ``answered``
+        is the share's origin's memory of contributions."""
         attrs = self._attr_data
         if not query.predicate.evaluate(attrs):
             return None, False
-        if qid in self._answered or qid in self._answered_old:
+        if n in answered:
             return None, False  # already answered via another cover group
         if query.attr == STAR_ATTRIBUTE:
             value: Any = 1
@@ -832,7 +883,7 @@ class MoaraNode:
             value = attrs[query.attr]
         else:
             return None, False  # satisfies the group but lacks the attribute
-        self._answered[qid] = None
+        answered[n] = None
         return query.function.lift(value, self.node_id), True
 
     def _handle_response(self, message: Message) -> None:
@@ -987,25 +1038,6 @@ class MoaraNode:
         self.network.send(
             self.node_id, reply_to, reply_mtype, payload
         )
-
-    def _rotate(self, now: float) -> None:
-        """Age the duplicate-suppression memory by one generation.
-
-        Runs from the query handlers when the engine clock passes
-        ``_rotate_at``: the current generation becomes the previous one
-        and the previous one is dropped, so nothing is scanned and
-        nothing younger than ``answered_ttl`` is ever forgotten.  A node
-        idle for a further ``answered_ttl`` past the rotation time holds
-        only ids older than the TTL in *both* generations (any later
-        arrival would have rotated first) and drops both.
-        """
-        ttl = self.config.answered_ttl
-        if now >= self._rotate_at + ttl:
-            self._answered_old, self._seen_old = {}, {}
-        else:
-            self._answered_old, self._seen_old = self._answered, self._seen
-        self._answered, self._seen = {}, {}
-        self._rotate_at = now + ttl
 
     # ------------------------------------------------------------------
     # size probes (Section 6.3)

@@ -132,6 +132,9 @@ class RemoteNetwork:
         self._reconnect_task: Optional[asyncio.Task] = None
         self._t0 = time.monotonic()
         self._burst = 0
+        #: the origin the last welcome issued, and the rolls made on it.
+        self._origin: Any = None
+        self._rolls = itertools.count()
         self.connected = False
         self._closing = False
         #: reconnect pacing (full-jitter backoff; unbounded attempts by
@@ -278,6 +281,11 @@ class RemoteNetwork:
     def burst_seq(self) -> int:
         return self._burst
 
+    def issue_origin(self) -> str:
+        """The last welcome's origin, suffixed with a roll count: a new
+        origin after a link failure needs no handshake of its own."""
+        return f"{self._origin}.{next(self._rolls)}"
+
     def bump_burst(self) -> None:
         """Advance the synchronous-burst counter (an inbound event was
         processed by something other than the overlay link — e.g. the
@@ -307,6 +315,7 @@ class RemoteNetwork:
         if welcome is None or welcome.get("kind") != "welcome":
             writer.close()
             raise ConnectionError(f"overlay service refused us: {welcome!r}")
+        self._origin = welcome["origin"]
         return reader, writer, welcome
 
     async def start(self) -> None:
@@ -617,6 +626,10 @@ class LocalLoopback:
         # share opened before *any* event was processed anywhere stops
         # being joinable, matching the simulated plane's global rule.
         return self._burst[0] + self.backend.engine.events_processed
+
+    def issue_origin(self) -> int:
+        # The backend issues it, as the overlay service's welcome does.
+        return self.backend.network.issue_origin()
 
     # -- fault scripting ----------------------------------------------
 

@@ -19,7 +19,8 @@ walks entirely, which is what the paper's message-count metrics need.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Protocol, runtime_checkable
+import itertools
+from typing import Any, Hashable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.sim.engine import Engine
 from repro.sim.latency import LatencyModel, ZeroLatencyModel
@@ -97,7 +98,10 @@ class FrontendTransport(Protocol):
     * :attr:`burst_seq` — a counter that advances whenever an inbound
       event is processed.  Probe/sub-query joins are only legal within
       one ``burst_seq`` value ("same synchronous burst"), which is the
-      rule that stops a lost response from poisoning later queries.
+      rule that stops a lost response from poisoning later queries;
+    * :meth:`issue_origin` — an id no other front-end incarnation the
+      overlay's nodes can hear from holds: the ``origin`` the nodes key
+      their duplicate memory by (see :mod:`repro.core.messages`).
     """
 
     stats: MessageStats
@@ -117,6 +121,8 @@ class FrontendTransport(Protocol):
 
     @property
     def burst_seq(self) -> int: ...
+
+    def issue_origin(self) -> Hashable: ...
 
 
 class Message:
@@ -199,6 +205,7 @@ class Network:
             self.latency_model.fuse_delivery
             and self._const_receive_service is not None
         )
+        self._origins = itertools.count(1)
 
     @property
     def now(self) -> float:
@@ -211,6 +218,11 @@ class Network:
         the engine's processed-event count, which only advances between
         bursts of same-tick submissions."""
         return self.engine.events_processed
+
+    def issue_origin(self) -> int:
+        """A front-end origin (:class:`FrontendTransport` seam): unique for
+        the life of this network, which is the life of its nodes' memory."""
+        return next(self._origins)
 
     def set_latency_model(self, model: LatencyModel) -> None:
         """Swap the latency model (e.g., after node ids are known)."""

@@ -254,13 +254,21 @@ def _leaf_outside_the_group(cluster: MoaraCluster) -> tuple[int, int]:
     raise AssertionError("no such leaf")
 
 
-def _query_message(src: int, dst: int, qid: str) -> Message:
+def _query_message(src: int, dst: int, n: int) -> Message:
+    """A hand-built ``QUERY`` for share ``n`` of a test-only origin, the
+    oldest share of that origin still unheard."""
     query = parse_query(QUERY)
     return Message(
         mt.QUERY,
         src,
         dst,
-        {"qid": qid, "seq": 1, "query": query, "predicate": query.predicate},
+        {
+            "qid": f"q-{n}",
+            "seq": 1,
+            "query": query,
+            "predicate": query.predicate,
+            "share": ("test", n, n),
+        },
     )
 
 
@@ -271,7 +279,7 @@ def test_late_reply_still_applies_its_report() -> None:
     cluster = make_cluster(MaintenancePolicy.ADAPTIVE, num_nodes=64, child_timeout=0.5)
     leaf_id, parent_id = _leaf_outside_the_group(cluster)
     leaf, parent = cluster.nodes[leaf_id], cluster.nodes[parent_id]
-    leaf.handle_message(_query_message(parent_id, leaf_id, "q-late"))
+    leaf.handle_message(_query_message(parent_id, leaf_id, 1))
     cluster.run_until_idle()
     assert not parent._pending, "nothing is waiting for this reply"
     assert leaf.tree_state("(A = 1)").sent_update_set == frozenset()
@@ -284,13 +292,13 @@ def test_handler_that_raises_leaves_no_report_held(monkeypatch) -> None:
     leaf_id, parent_id = _leaf_outside_the_group(cluster)
     leaf = cluster.nodes[leaf_id]
 
-    def boom(qid, query):
+    def boom(answered, n, query):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(leaf, "_local_contribution", boom)
     with pytest.raises(RuntimeError, match="boom"):
         # Raises its PRUNE, then fails before the reply that would carry it.
-        leaf.handle_message(_query_message(parent_id, leaf_id, "q-1"))
+        leaf.handle_message(_query_message(parent_id, leaf_id, 1))
     assert leaf._held is None and leaf._holding is False
     # The report was recorded as sent, so it went out (on its own).
     assert leaf.tree_state("(A = 1)").sent_update_set == frozenset()
@@ -299,7 +307,7 @@ def test_handler_that_raises_leaves_no_report_held(monkeypatch) -> None:
     # The next handler starts clean: an ordinary reply, nothing riding it.
     reply = []
     monkeypatch.setattr(cluster.network, "send", lambda *args: reply.append(args))
-    leaf.handle_message(_query_message(parent_id, leaf_id, "q-2"))
+    leaf.handle_message(_query_message(parent_id, leaf_id, 2))
     [(_, dst, mtype, payload)] = reply
     assert (dst, mtype) == (parent_id, mt.QUERY_RESPONSE)
     assert "update_set" not in payload

@@ -27,8 +27,8 @@ import pytest
 
 from repro.baselines import centralized_answer
 from repro.core.cluster import MoaraCluster
-from repro.serve.fleet import Fleet
-from repro.serve.frontend_server import jsonable
+from repro.serve.fleet import Fleet, ServiceThread
+from repro.serve.frontend_server import FrontendServer, jsonable
 from repro.serve.protocol import SyncRpcChannel
 
 pytestmark = pytest.mark.system
@@ -171,6 +171,36 @@ def test_sigkill_of_a_frontend_under_load_costs_only_that_frontend() -> None:
         status, health = fleet.http(0, "GET", "/healthz")
         assert status == 200 and health["cache_service"] is True
     assert _gone(fleet.pids[0])
+
+
+def test_a_frontend_restarted_for_the_same_shard_gets_exact_answers() -> None:
+    """A new process for a shard reuses the dead one's node id; the
+    overlay's welcome gives it a new origin, so the nodes do not take
+    its first shares for the dead process's."""
+    cluster = MoaraCluster(num_nodes=120, num_frontends=0, seed=5)
+    cluster.set_group("web", cluster.overlay.node_ids[::3])  # 40 members
+    text = "SELECT COUNT(*) WHERE web = true"
+    with Fleet(cluster, num_frontends=2) as fleet:
+        for _ in range(3):
+            assert fleet.http_query(1, text)["value"] == 40
+        fleet.kill_frontend(1)
+        assert _wait_for(lambda: -2 not in fleet.overlay._proxies, 5.0)
+        thread = ServiceThread("frontend-1-restarted")
+        server = FrontendServer(
+            overlay_addr=(fleet.host, fleet.overlay.port),
+            shard=1,
+            cache_addr=(fleet.host, fleet.cache.port),
+        )
+        try:
+            thread.call(server.start())
+            assert server.network.node_id == -2
+            fleet.http_ports[1] = server.http_port
+            for _ in range(3):
+                reply = fleet.http_query(1, text)
+                assert (reply["value"], reply["failed"]) == (40, False)
+        finally:
+            thread.call(server.close())
+            thread.stop()
 
 
 _HOST_SCRIPT = """
