@@ -45,7 +45,7 @@ def _summarize(report: dict) -> str:
         )
     inv = report["invariants"]
     lines.append(
-        f"oracle   : {inv['checked']} answers checked, {inv['sampled']} "
+        f"oracle   : {inv['checked']} answers checked, {inv['compared']} "
         f"differentially compared, {inv['skipped_epoch']} skipped (churn), "
         f"{inv['violations']} violations"
     )

@@ -88,7 +88,7 @@ class InvariantChecker:
         self.violations: list[dict] = []
         self.checked = 0
         #: answers compared against the centralized recompute.
-        self.sampled = 0
+        self.compared = 0
         #: standing-handle differential checks run at phase boundaries.
         self.standing_checked = 0
         self.skipped_epoch = 0
@@ -145,7 +145,7 @@ class InvariantChecker:
             if not membership_stable:
                 self.skipped_epoch += 1
                 continue
-            self.sampled += 1
+            self.compared += 1
             self._check_differential(phase, text, result)
 
     def _check_differential(
@@ -241,7 +241,7 @@ class InvariantChecker:
             by_invariant[name] = by_invariant.get(name, 0) + 1
         return {
             "checked": self.checked,
-            "sampled": self.sampled,
+            "compared": self.compared,
             "standing_checked": self.standing_checked,
             "skipped_epoch": self.skipped_epoch,
             "explicit_failures": self.explicit_failures,

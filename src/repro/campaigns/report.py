@@ -17,7 +17,7 @@ Layout::
     ],
     totals:     { queries, batches, messages, failed_queries,
                   standing{...}, violations },
-    invariants: { checked, sampled, standing_checked, skipped_epoch,
+    invariants: { checked, compared, standing_checked, skipped_epoch,
                   explicit_failures, violations, by_invariant },
     ok
 """

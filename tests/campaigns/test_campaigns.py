@@ -302,7 +302,7 @@ def test_overlay_churn_campaign_on_both_planes() -> None:
     for plane in ("sim", "loopback"):
         report = run_campaign(spec, plane=plane)
         assert report["ok"], (plane, report["invariants"])
-        assert report["invariants"]["sampled"] > 150
+        assert report["invariants"]["compared"] > 150
         assert report["invariants"]["standing_checked"] > 0
 
 

@@ -56,7 +56,7 @@ def test_differential_passes_on_true_answer(plane: SimPlane) -> None:
     results = plane.query_batch([text])
     checker.check_batch("p", [text], results, before, membership_stable=True)
     assert checker.violations == []
-    assert checker.sampled == 1
+    assert checker.compared == 1
 
 
 def test_differential_flags_a_wrong_answer(plane: SimPlane) -> None:
