@@ -182,9 +182,6 @@ class _SharedSubQuery:
     cover: list[str]
     waiting: set[str]  # canonical keys of cover groups awaiting answers
     subscribers: list[str]  # qids, initiator first
-    #: the share's number: its ``share_id`` suffix and the ``n`` of its
-    #: stamp (see :meth:`Frontend._resolve_cover`)
-    n: int = 0
     partial: Any = None
     contributors: int = 0
     #: canonical group key -> tree root its sub-query was sent to
@@ -258,13 +255,10 @@ class Frontend:
         self._shared_waits: dict[str, list[str]] = {}
         self._qid_counter = itertools.count(1)
         self._share_counter = itertools.count(1)
-        #: this incarnation's id on every share it stamps, issued by the
-        #: transport on first use; a link failure sets it back to None
-        #: (a new origin: see :meth:`_roll_origin`).
+        #: the origin stamped on shares (issued on first use, dropped by a
+        #: link failure), and its unheard shares' numbers in dispatch order.
         self._origin: Any = None
-        #: numbers of the current origin's shares whose end is not heard
-        #: yet, in dispatch order: the first is the stamp's floor.
-        self._unheard: dict[int, None] = {}
+        self._unheard: dict[str, int] = {}
         self._pending_queries: dict[str, _PendingQuery] = {}
         #: probe tag -> in-flight probe
         self._probes: dict[str, _ProbeInFlight] = {}
@@ -576,17 +570,13 @@ class Frontend:
             waiting=set(pending.cover),
             subscribers=[pending.qid],
             created_seq=seq,
-            n=n,
         )
-        # The stamp every node of the walk keys its duplicate memory by:
-        # (origin, n, floor), floor the oldest share of this origin whose
-        # end is not heard yet.  Nodes forget what lies below it.
-        origin = self._origin
-        if origin is None:
-            origin = self._origin = self.network.issue_origin()
-        unheard = self._unheard
-        unheard[n] = None
-        stamp = (origin, n, next(iter(unheard)))
+        # (origin, n, floor): nodes forget this origin's shares below the
+        # floor, the oldest one whose end is not heard yet.
+        if self._origin is None:
+            self._origin = self.network.issue_origin()
+        self._unheard[share_id] = n
+        stamp = (self._origin, n, next(iter(self._unheard.values())))
         if self.config.share_subqueries:
             self._shares[share_key] = share
         self._share_by_id[share_id] = share
@@ -644,12 +634,13 @@ class Frontend:
         """Deliver a completed shared sub-query to every subscriber."""
         del self._share_by_id[share.share_id]
         if share.failed:
-            # Resolved NULL, not heard: its walk may still run for a
-            # front-end joined at the root, so this origin's floor must
-            # never pass it.  Later shares go out under a new origin.
-            self._roll_origin()
+            # NULL, not heard: its walk may still run for a front-end
+            # joined at the root, so the floor must never pass it.  Nodes
+            # keep the abandoned origin's last floor: what they hold of it
+            # is bounded by the shares in flight now.
+            self._origin, self._unheard = None, {}
         else:
-            self._unheard.pop(share.n, None)
+            self._unheard.pop(share.share_id, None)
         if self._shares.get(share.share_key) is share:
             del self._shares[share.share_key]
         now = self.network.now
@@ -800,12 +791,10 @@ class Frontend:
         NULL-resolved probes re-enter planning with default costs; the
         dispatch that follows may hit the dead link again, which fails
         those tags in turn — the cascade terminates with every affected
-        query completed and :attr:`QueryResult.failed` set.
-
-        Any link failure starts a new origin: a relinked transport may
-        face a restarted overlay, which issues origins afresh.
+        query completed and :attr:`QueryResult.failed` set.  Any link
+        failure starts a new origin (the overlay may have restarted).
         """
-        self._roll_origin()
+        self._origin, self._unheard = None, {}
         now = self.network.now
         for probe in [
             p
@@ -822,14 +811,6 @@ class Frontend:
             share.failure = reason
             share.waiting.clear()
             self._fan_out(share)
-
-    def _roll_origin(self) -> None:
-        """Abandon the current origin: its floor stays where the nodes
-        last heard it, so what they hold of it is bounded by the shares
-        in flight now.  The next dispatch asks the transport for a new
-        one."""
-        self._origin = None
-        self._unheard = {}
 
     def _resolve_lost_probe(self, probe: _ProbeInFlight, now: float) -> None:
         """NULL-resolve one probe whose answer will never arrive: forget

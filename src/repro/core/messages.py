@@ -14,7 +14,8 @@ Payload schemas
     message-accounting tag), ``seq`` the root's per-tree sequence number
     (missed sequence numbers count as ``qn`` for Section 4's
     adaptation), ``query`` the full :class:`~repro.core.query.Query`,
-    ``predicate`` the group predicate naming the tree being walked.
+    ``predicate`` the group predicate naming the tree being walked,
+    ``share`` the front-end's stamp, forwarded unchanged (below).
 
 ``QUERY_RESPONSE`` (node -> node, partial aggregate flowing back up):
     ``qid``, ``pred_key`` (canonical group predicate), ``partial`` the
@@ -51,10 +52,19 @@ Payload schemas
 
 ``FRONTEND_QUERY`` (front-end -> tree root):
     ``qid`` (the front-end's share id), ``query``, ``predicate`` the
-    cover group this root owns, and ``cover`` -- the full chosen cover
+    cover group this root owns, ``cover`` -- the full chosen cover
     (tuple of canonical group keys), piggybacked so the root can decide
     whether the execution can be shared across query ids
-    (single-group covers only; see :mod:`repro.core.inflight`).
+    (single-group covers only; see :mod:`repro.core.inflight`) -- and
+    ``share`` ``(origin, n, floor)``: the front-end incarnation (from
+    ``FrontendTransport.issue_origin``; a restart or a link failure gets
+    a new one), the share's number, and the lowest ``n`` of that origin
+    whose end the front-end has not heard (an answer from every cover
+    root, or the root's departure; a NULL from a link failure is not
+    heard).  Nodes key duplicate memory by ``(origin, n)`` and drop it
+    below a higher floor.  A ``QUERY`` or ``FRONTEND_QUERY`` below the
+    floor gets a duplicate's empty reply: no contribution, no forward,
+    and at a root no walk and no join.
 
 ``FRONTEND_RESPONSE`` (tree root -> front-end):
     the ``QUERY_RESPONSE`` schema, plus piggybacked metadata:

@@ -180,17 +180,14 @@ class MoaraNode:
         self._pruned: dict[str, PrunedLeaf] = {}
         self._created = 0  # creation ordinal of the next new state
         self._pending: dict[tuple[str, str], _PendingQuery] = {}
-        #: Duplicate-suppression memory, per front-end incarnation
-        #: (``origin`` of the share stamp, see :mod:`repro.core.messages`):
-        #: ``origin -> [floor, top, seen, answered]``.  ``floor`` is the
-        #: highest floor heard from that origin (shares below it ended at
-        #: their front-end); ``top`` bounds the highest share number
-        #: held; ``seen`` holds the (share, tree) deliveries processed
-        #: (``n -> pred_key`` for a share's first tree, a ``(n, pred_key)``
-        #: key for each further tree); ``answered`` the shares our local
-        #: value went into (dedup across the trees of a composite cover,
-        #: Section 6.2).  A higher floor retires what it passes (see
-        #: :meth:`_admit`), so the memory ends with the queries.
+        #: Duplicate suppression, per share-stamp origin (front-end
+        #: incarnation, see :mod:`repro.core.messages`): ``origin ->
+        #: [floor, top, seen, answered]`` -- the highest floor heard, a
+        #: bound on the highest share held, the (share, tree) deliveries
+        #: processed (``n -> pred_key`` for a share's first tree, a
+        #: ``(n, pred_key)`` key for each further one), and the shares our
+        #: value went into (one contribution across a composite cover's
+        #: trees, Section 6.2).  A higher floor retires what it passes.
         self._memory: dict[Any, list] = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
@@ -547,9 +544,8 @@ class MoaraNode:
         in-flight execution: if one is walking, it absorbs the request as
         a subscriber -- even when the two requests came from different
         front-ends -- and the reply it owes carries ``subscribed``.  A
-        share below its origin's floor is a late copy of one whose end
-        the front-end heard: it gets the duplicate's empty reply before
-        the in-flight table is consulted, so it neither walks nor joins.
+        share below its origin's floor gets a duplicate's empty reply
+        first, so a late copy neither walks nor joins.
         """
         payload = message.payload
         state = self.get_state(payload["predicate"])
@@ -573,15 +569,7 @@ class MoaraNode:
         seq = max(self._seq_counters.get(pred_key, 0), state.last_seen_seq) + 1
         self._seq_counters[pred_key] = seq
         self._process_query(
-            state,
-            qid,
-            share,
-            memory,
-            seq,
-            query,
-            message.src,
-            mt.FRONTEND_RESPONSE,
-            exec_key,
+            state, qid, share, memory, seq, query, message.src, mt.FRONTEND_RESPONSE, exec_key
         )
 
     def _handle_query(self, message: Message) -> None:
@@ -612,15 +600,13 @@ class MoaraNode:
         memory = self._memory.get(origin)
         if memory is not None and floor <= memory[0]:
             if n < memory[0]:
-                # Below the floor: a late copy of a share whose end its
-                # front-end heard.  Answered like a duplicate, not walked.
+                # Below the floor: its front-end heard its end already.
                 self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
                 return
             seen = memory[2]
             first = seen.get(n)
         elif memory is None or floor > memory[1]:
-            # The floor passes every share held for this origin (the
-            # sequential case): drop them all in one step.
+            # The floor passes every share held (the sequential case).
             seen = {}
             self._memory[origin] = memory = [floor, n, seen, {}]
             first = None
@@ -822,9 +808,8 @@ class MoaraNode:
             )
 
     def _admit(self, share: tuple) -> Optional[list]:
-        """The duplicate memory of ``share``'s origin, after retiring
-        what the share's floor passes; None when the share is itself
-        below the floor its origin already announced."""
+        """The memory of ``share``'s origin after retiring what the
+        share's floor passes; None if the share is below the floor."""
         origin, n, floor = share
         memory = self._memory.get(origin)
         if memory is not None and floor <= memory[0]:
@@ -837,41 +822,30 @@ class MoaraNode:
 
     @staticmethod
     def _retire(memory: list, floor: int) -> None:
-        """Raise an origin's floor when some shares it holds are at or
-        above it: keep exactly those."""
+        """Raise an origin's floor, keeping the shares at or above it."""
         memory[0] = floor
-        memory[2] = {
-            key: tree
-            for key, tree in memory[2].items()
-            if (key if type(key) is int else key[0]) >= floor
-        }
+        seen = memory[2]
+        memory[2] = {k: seen[k] for k in seen if (k if type(k) is int else k[0]) >= floor}
         memory[3] = {n: None for n in memory[3] if n >= floor}
 
-    def _first_delivery(
-        self, memory: list, n: int, qkey: tuple, pred_key: str
-    ) -> bool:
-        """Remember that share ``n`` arrived down the ``pred_key`` tree;
-        False if it did before (or is still being aggregated here)."""
+    def _first_delivery(self, memory: list, n: int, qkey: tuple, pred_key: str) -> bool:
+        """Record share ``n`` down the ``pred_key`` tree; False on a repeat."""
         if qkey in self._pending:
             return False
         seen = memory[2]
         first = seen.get(n)
         if first is None:
             seen[n] = pred_key
-            if n > memory[1]:
-                memory[1] = n
+            memory[1] = max(memory[1], n)
             return True
         if first == pred_key or (n, pred_key) in seen:
             return False
         seen[(n, pred_key)] = pred_key
         return True
 
-    def _local_contribution(
-        self, answered: dict, n: int, query: Query
-    ) -> tuple[Any, bool]:
+    def _local_contribution(self, answered: dict, n: int, query: Query) -> tuple[Any, bool]:
         """Our own (value, contributed) for share ``n`` of a query, with
-        composite-cover duplicate suppression (Section 6.2): ``answered``
-        is the share's origin's memory of contributions."""
+        composite-cover duplicate suppression (Section 6.2)."""
         attrs = self._attr_data
         if not query.predicate.evaluate(attrs):
             return None, False

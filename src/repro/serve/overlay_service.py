@@ -18,12 +18,10 @@ reply the proxies capture is framed straight back out.
 Frame kinds (request → reply):
 
 * ``hello {role: "frontend"|"observer", node_id}`` → ``welcome {node_id,
-  origin, members, space, now}`` — ``origin`` is fresh for every front-end
-  hello (the share-stamp origin, see :mod:`repro.core.messages`), so a
-  front-end restarted under the same node id is a new incarnation to the
-  nodes; observers get membership pushes only (the cache service
-  subscribes this way to feed overlay churn into its adaptive TTLs
-  exactly once, not once per shard).
+  origin, members, space, now}`` — a fresh share-stamp ``origin`` per
+  front-end hello (:mod:`repro.core.messages`); observers get membership
+  pushes only (the cache service subscribes this way to feed overlay
+  churn into its adaptive TTLs exactly once, not once per shard).
 * ``wire {src, dst, mtype, payload}`` → (no direct reply; responses
   arrive as ``wire`` frames when the overlay answers)
 * ``members {joined, left}`` — pushed to every connection on churn.
@@ -211,11 +209,7 @@ class OverlayService:
                     {
                         "kind": "welcome",
                         "node_id": proxy.node_id if proxy else None,
-                        "origin": (
-                            self.cluster.network.issue_origin()
-                            if proxy
-                            else None
-                        ),
+                        "origin": self.cluster.network.issue_origin() if proxy else None,
                         "members": self.cluster.overlay.node_ids,
                         "space": {
                             "bits": space.bits,

@@ -132,8 +132,7 @@ class RemoteNetwork:
         self._reconnect_task: Optional[asyncio.Task] = None
         self._t0 = time.monotonic()
         self._burst = 0
-        #: the origin the last welcome issued, and the rolls made on it.
-        self._origin: Any = None
+        self._origin: Any = None  # the last welcome's share-stamp origin
         self._rolls = itertools.count()
         self.connected = False
         self._closing = False
@@ -282,8 +281,7 @@ class RemoteNetwork:
         return self._burst
 
     def issue_origin(self) -> str:
-        """The last welcome's origin, suffixed with a roll count: a new
-        origin after a link failure needs no handshake of its own."""
+        # Suffixed with a roll count: a new origin needs no handshake.
         return f"{self._origin}.{next(self._rolls)}"
 
     def bump_burst(self) -> None:
@@ -628,7 +626,6 @@ class LocalLoopback:
         return self._burst[0] + self.backend.engine.events_processed
 
     def issue_origin(self) -> int:
-        # The backend issues it, as the overlay service's welcome does.
         return self.backend.network.issue_origin()
 
     # -- fault scripting ----------------------------------------------

@@ -99,9 +99,8 @@ class FrontendTransport(Protocol):
       event is processed.  Probe/sub-query joins are only legal within
       one ``burst_seq`` value ("same synchronous burst"), which is the
       rule that stops a lost response from poisoning later queries;
-    * :meth:`issue_origin` — an id no other front-end incarnation the
-      overlay's nodes can hear from holds: the ``origin`` the nodes key
-      their duplicate memory by (see :mod:`repro.core.messages`).
+    * :meth:`issue_origin` — a share-stamp ``origin`` no other front-end
+      incarnation holds (see :mod:`repro.core.messages`).
     """
 
     stats: MessageStats
@@ -220,8 +219,7 @@ class Network:
         return self.engine.events_processed
 
     def issue_origin(self) -> int:
-        """A front-end origin (:class:`FrontendTransport` seam): unique for
-        the life of this network, which is the life of its nodes' memory."""
+        """A share-stamp origin, unique for the life of the nodes' memory."""
         return next(self._origins)
 
     def set_latency_model(self, model: LatencyModel) -> None:

@@ -55,10 +55,9 @@ def _single_node():
 
 
 def _deliver(
-    cluster, node, caller, n: int, floor: int, group: str = "a",
-    mtype: str = mt.QUERY,
+    cluster, node, caller, n: int, floor: int, group: str = "a", origin: str = ORIGIN
 ) -> dict:
-    """Deliver share ``n`` of ``ORIGIN`` (stamped with ``floor``) down
+    """Deliver share ``n`` of ``origin`` (stamped with ``floor``) down
     ``group``'s tree; returns the node's reply payload."""
     query = parse_query(COMPOSITE)
     predicate = parse_query(f"SELECT COUNT(*) WHERE {group} = true").predicate
@@ -67,12 +66,10 @@ def _deliver(
         "seq": 1,
         "query": query,
         "predicate": predicate,
-        "share": (ORIGIN, n, floor),
+        "share": (origin, n, floor),
     }
-    if mtype == mt.FRONTEND_QUERY:
-        payload["cover"] = ("(a = true)", "(b = true)")
     seen = len(caller.replies)
-    node.handle_message(Message(mtype, CALLER, node.node_id, payload))
+    node.handle_message(Message(mt.QUERY, CALLER, node.node_id, payload))
     cluster.run_until_idle()
     assert len(caller.replies) == seen + 1
     return caller.replies[-1]
@@ -127,26 +124,9 @@ def test_second_cover_tree_does_not_contribute_twice() -> None:
     assert _deliver(cluster, node, caller, 2, floor=1, group="a")["contributors"] == 1
     assert _deliver(cluster, node, caller, 3, floor=2, group="a")["contributors"] == 1
     assert _empty(_deliver(cluster, node, caller, 2, floor=2, group="b"))
-    # A share of another origin with the same number is another share.
-    query = parse_query(COMPOSITE)
-    node.handle_message(
-        Message(
-            mt.QUERY,
-            CALLER,
-            node.node_id,
-            {
-                "qid": "other-3",
-                "seq": 1,
-                "query": query,
-                "predicate": parse_query(
-                    "SELECT COUNT(*) WHERE b = true"
-                ).predicate,
-                "share": ("another", 3, 3),
-            },
-        )
-    )
-    cluster.run_until_idle()
-    assert caller.replies[-1]["contributors"] == 1
+    # Share 3 of another origin is another share.
+    other = _deliver(cluster, node, caller, 3, floor=3, group="b", origin="another")
+    assert other["contributors"] == 1
 
 
 def _internal_root(num_nodes: int = 24):
