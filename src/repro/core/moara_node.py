@@ -181,14 +181,14 @@ class MoaraNode:
         self._created = 0  # creation ordinal of the next new state
         self._pending: dict[tuple[str, str], _PendingQuery] = {}
         #: Duplicate suppression, per share-stamp origin (front-end
-        #: incarnation, see :mod:`repro.core.messages`): ``origin ->
-        #: [floor, top, seen, answered]`` -- the highest floor heard, a
-        #: bound on the highest share held, the (share, tree) deliveries
-        #: processed (``n -> pred_key`` for a share's first tree, a
-        #: ``(n, pred_key)`` key for each further one), and the shares our
-        #: value went into (one contribution across a composite cover's
-        #: trees, Section 6.2).  A higher floor retires what it passes.
-        self._memory: dict[Any, list] = {}
+        #: incarnation, see :mod:`repro.core.messages`), one flat dict
+        #: each: ``"floor"`` the highest floor heard, ``"top"`` a bound on
+        #: the highest share held, ``n -> pred_key`` for share ``n``'s
+        #: first tree, a ``(n, pred_key)`` key for each further tree, and
+        #: a ``-n`` key once our value went into share ``n`` (one
+        #: contribution across a composite cover's trees, Section 6.2).
+        #: A higher floor retires what it passes.
+        self._memory: dict[Any, dict] = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
         factory = self.config.gc_policy_factory
@@ -598,36 +598,33 @@ class MoaraNode:
         share = payload["share"]
         origin, n, floor = share
         memory = self._memory.get(origin)
-        if memory is not None and floor <= memory[0]:
-            if n < memory[0]:
+        if memory is not None and floor <= memory["top"]:
+            if floor > memory["floor"]:
+                self._retire(memory, floor)
+            elif n < memory["floor"]:
                 # Below the floor: its front-end heard its end already.
                 self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
                 return
-            seen = memory[2]
-            first = seen.get(n)
-        elif memory is None or floor > memory[1]:
-            # The floor passes every share held (the sequential case).
-            seen = {}
-            self._memory[origin] = memory = [floor, n, seen, {}]
-            first = None
+            first = memory.get(n)
         else:
-            self._retire(memory, floor)
-            seen = memory[2]
-            first = seen.get(n)
+            # The floor passes every share held (the sequential case).
+            memory = first = None
         if qkey in self._pending or (
-            first is not None and (first == pred_key or (n, pred_key) in seen)
+            first is not None and (first == pred_key or (n, pred_key) in memory)
         ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
-        if first is None:
-            seen[n] = pred_key
-            if n > memory[1]:
-                memory[1] = n
+        if memory is None:
+            self._memory[origin] = memory = {"floor": floor, "top": n, n: pred_key}
+        elif first is None:
+            memory[n] = pred_key
+            if n > memory["top"]:
+                memory["top"] = n
         else:
-            seen[(n, pred_key)] = pred_key
+            memory[(n, pred_key)] = None
         if self._gc_enabled:
             now = self._engine.now
             self.gc_policy.on_query(self, pred_key, now)
@@ -671,7 +668,7 @@ class MoaraNode:
         live_targets = self.network.filter_alive(targets) if targets else targets
 
         query = payload["query"]
-        partial, contributed = self._local_contribution(memory[3], n, query)
+        partial, contributed = self._local_contribution(memory, n, query)
         if not live_targets:
             self._send_reply(
                 state, qid, reply_to, mt.QUERY_RESPONSE, partial, int(contributed)
@@ -767,7 +764,7 @@ class MoaraNode:
         # The DHT's failure detector: skip targets known to be dead.
         live_targets = self.network.filter_alive(targets)
 
-        partial, contributed = self._local_contribution(memory[3], n, query)
+        partial, contributed = self._local_contribution(memory, n, query)
         if not live_targets:
             self._send_reply(
                 state, qid, reply_to, reply_mtype, partial, int(contributed)
@@ -807,49 +804,49 @@ class MoaraNode:
                 self._child_timeout, self._on_timeout, key
             )
 
-    def _admit(self, share: tuple) -> Optional[list]:
+    def _admit(self, share: tuple) -> Optional[dict]:
         """The memory of ``share``'s origin after retiring what the
         share's floor passes; None if the share is below the floor."""
         origin, n, floor = share
         memory = self._memory.get(origin)
-        if memory is not None and floor <= memory[0]:
-            return None if n < memory[0] else memory
-        if memory is None or floor > memory[1]:
-            self._memory[origin] = memory = [floor, n, {}, {}]
-        else:
+        if memory is None or floor > memory["top"]:
+            self._memory[origin] = memory = {"floor": floor, "top": n}
+        elif floor > memory["floor"]:
             self._retire(memory, floor)
+        elif n < memory["floor"]:
+            return None
         return memory
 
     @staticmethod
-    def _retire(memory: list, floor: int) -> None:
+    def _retire(memory: dict, floor: int) -> None:
         """Raise an origin's floor, keeping the shares at or above it."""
-        memory[0] = floor
-        seen = memory[2]
-        memory[2] = {k: seen[k] for k in seen if (k if type(k) is int else k[0]) >= floor}
-        memory[3] = {n: None for n in memory[3] if n >= floor}
+        memory["floor"] = floor
+        for key in [
+            k for k in memory if type(k) is not str and (abs(k) if type(k) is int else k[0]) < floor
+        ]:
+            del memory[key]
 
-    def _first_delivery(self, memory: list, n: int, qkey: tuple, pred_key: str) -> bool:
+    def _first_delivery(self, memory: dict, n: int, qkey: tuple, pred_key: str) -> bool:
         """Record share ``n`` down the ``pred_key`` tree; False on a repeat."""
         if qkey in self._pending:
             return False
-        seen = memory[2]
-        first = seen.get(n)
+        first = memory.get(n)
         if first is None:
-            seen[n] = pred_key
-            memory[1] = max(memory[1], n)
+            memory[n] = pred_key
+            memory["top"] = max(memory["top"], n)
             return True
-        if first == pred_key or (n, pred_key) in seen:
+        if first == pred_key or (n, pred_key) in memory:
             return False
-        seen[(n, pred_key)] = pred_key
+        memory[(n, pred_key)] = None
         return True
 
-    def _local_contribution(self, answered: dict, n: int, query: Query) -> tuple[Any, bool]:
+    def _local_contribution(self, memory: dict, n: int, query: Query) -> tuple[Any, bool]:
         """Our own (value, contributed) for share ``n`` of a query, with
         composite-cover duplicate suppression (Section 6.2)."""
         attrs = self._attr_data
         if not query.predicate.evaluate(attrs):
             return None, False
-        if n in answered:
+        if -n in memory:
             return None, False  # already answered via another cover group
         if query.attr == STAR_ATTRIBUTE:
             value: Any = 1
@@ -857,7 +854,7 @@ class MoaraNode:
             value = attrs[query.attr]
         else:
             return None, False  # satisfies the group but lacks the attribute
-        answered[n] = None
+        memory[-n] = None
         return query.function.lift(value, self.node_id), True
 
     def _handle_response(self, message: Message) -> None:

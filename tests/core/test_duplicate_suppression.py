@@ -79,11 +79,16 @@ def _empty(reply: dict) -> bool:
     return (reply["partial"], reply["contributors"]) == (None, 0)
 
 
+def _shares(memory: dict) -> set:
+    """An origin's seen and answered keys (not its floor and top)."""
+    return {key for key in memory if type(key) is not str}
+
+
 def _entries(cluster, origin=None) -> int:
     """Seen plus answered entries over every node (of one origin, or
     of all of them)."""
     return sum(
-        len(memory[2]) + len(memory[3])
+        len(_shares(memory))
         for node in cluster.nodes.values()
         for key, memory in node._memory.items()
         if origin is None or key == origin
@@ -101,12 +106,12 @@ def test_duplicate_delivery_is_suppressed_while_its_share_is_unheard() -> None:
     # 2 sits exactly on the floor, so it is still remembered.
     assert _deliver(cluster, node, caller, 3, floor=2)["contributors"] == 1
     memory = node._memory[ORIGIN]
-    assert memory[0] == 2 and set(memory[2]) == {2, 3}
-    assert set(memory[3]) == {2, 3}
+    assert memory["floor"] == 2
+    assert _shares(memory) == {2, 3, -2, -3}  # seen, and answered
     assert _empty(_deliver(cluster, node, caller, 2, floor=2))
     # Everything heard: one step drops what the origin holds.
     assert _deliver(cluster, node, caller, 4, floor=4)["contributors"] == 1
-    assert list(node._memory[ORIGIN][2]) == [4]
+    assert _shares(node._memory[ORIGIN]) == {4, -4}
 
 
 def test_second_cover_tree_does_not_contribute_twice() -> None:
@@ -118,7 +123,7 @@ def test_second_cover_tree_does_not_contribute_twice() -> None:
     # but the node's value already went up the first tree.
     second = _deliver(cluster, node, caller, 1, floor=1, group="b")
     assert _empty(second)
-    assert (1, second["pred_key"]) in node._memory[ORIGIN][2]
+    assert (1, second["pred_key"]) in node._memory[ORIGIN]
     # Across a retirement that keeps the share: its second tree still
     # finds the contribution.
     assert _deliver(cluster, node, caller, 2, floor=1, group="a")["contributors"] == 1
@@ -152,7 +157,7 @@ def test_delivery_below_the_floor_gets_an_empty_reply_and_is_not_forwarded() -> 
     late = _deliver(cluster, node, caller, 3, floor=3)
     assert _empty(late)
     assert cluster.stats.by_type[mt.QUERY] == queries
-    assert 3 not in node._memory[ORIGIN][2]
+    assert 3 not in node._memory[ORIGIN]
 
 
 def test_root_neither_walks_nor_joins_for_a_frontend_query_below_the_floor() -> None:
