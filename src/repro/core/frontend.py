@@ -255,8 +255,10 @@ class Frontend:
         self._shared_waits: dict[str, list[str]] = {}
         self._qid_counter = itertools.count(1)
         self._share_counter = itertools.count(1)
-        #: the origin stamped on shares (issued on first use, dropped by a
-        #: link failure), and its unheard shares' numbers in dispatch order.
+        #: the origin stamped on shares and named in tags (not the node
+        #: id: a front-end restarted under a reused id is a new origin;
+        #: issued on first use, dropped by a link failure), and its
+        #: unheard shares' numbers in dispatch order.
         self._origin: Any = None
         self._unheard: dict[str, int] = {}
         self._pending_queries: dict[str, _PendingQuery] = {}
@@ -441,7 +443,9 @@ class Frontend:
                 self._shared_waits.setdefault(key, []).append(qid)
                 self.network.stats.shared_probe_joins += 1
                 return
-        tag = f"pr{self.node_id}-{next(self._share_counter)}"
+        if self._origin is None:
+            self._origin = self.network.issue_origin()
+        tag = f"pr{self._origin}-{next(self._share_counter)}"
         root = self.overlay.root(
             self.overlay.space.hash_name(group_attribute(group))
         )
@@ -560,8 +564,10 @@ class Frontend:
                 share.subscribers.append(pending.qid)
                 pending.shared = True
                 return
+        if self._origin is None:
+            self._origin = self.network.issue_origin()
         n = next(self._share_counter)
-        share_id = f"sh{self.node_id}-{n}"
+        share_id = f"sh{self._origin}-{n}"
         share = _SharedSubQuery(
             share_id=share_id,
             share_key=share_key,
@@ -573,8 +579,6 @@ class Frontend:
         )
         # (origin, n, floor): nodes forget this origin's shares below the
         # floor, the oldest one whose end is not heard yet.
-        if self._origin is None:
-            self._origin = self.network.issue_origin()
         self._unheard[share_id] = n
         stamp = (self._origin, n, next(iter(self._unheard.values())))
         if self.config.share_subqueries:

@@ -61,10 +61,11 @@ Payload schemas
     a new one), the share's number, and the lowest ``n`` of that origin
     whose end the front-end has not heard (an answer from every cover
     root, or the root's departure; a NULL from a link failure is not
-    heard).  Nodes key duplicate memory by ``(origin, n)`` and drop it
-    below a higher floor.  A ``QUERY`` or ``FRONTEND_QUERY`` below the
-    floor gets a duplicate's empty reply: no contribution, no forward,
-    and at a root no walk and no join.
+    heard).  Nodes key duplicate memory by ``(origin, n)``, drop it
+    below a higher floor, and keep the 64 most recently used origins.
+    A ``QUERY`` or ``FRONTEND_QUERY`` below the floor gets a duplicate's
+    empty reply: no contribution, no forward, and at a root no walk and
+    no join.
 
 ``FRONTEND_RESPONSE`` (tree root -> front-end):
     the ``QUERY_RESPONSE`` schema, plus piggybacked metadata:

@@ -71,6 +71,9 @@ from repro.sim.network import Message, Network
 
 __all__ = ["MoaraConfig", "MoaraNode", "NodeConfig", "group_attribute"]
 
+#: Origins whose duplicate memory a node keeps (``MoaraNode._memory``).
+_ORIGINS_HELD = 64
+
 
 def group_attribute(predicate: Predicate) -> str:
     """The attribute whose MD5 hash names the group's DHT tree.
@@ -187,7 +190,10 @@ class MoaraNode:
         #: first tree, a ``(n, pred_key)`` key for each further tree, and
         #: a ``-n`` key once our value went into share ``n`` (one
         #: contribution across a composite cover's trees, Section 6.2).
-        #: A higher floor retires what it passes.
+        #: A higher floor retires what it passes.  Origins are kept in
+        #: least-recently-used order, ``_ORIGINS_HELD`` at most: what a
+        #: failed-over or restarted front-end left goes once that many
+        #: other origins have reached the node since.
         self._memory: dict[Any, dict] = {}
         #: per-predicate query sequence counters (used while we are root).
         self._seq_counters: dict[str, int] = {}
@@ -548,12 +554,22 @@ class MoaraNode:
         first, so a late copy neither walks nor joins.
         """
         payload = message.payload
+        # The reply needs the state even below the floor; that share's
+        # first copy came here and made it, unless GC has taken it since.
         state = self.get_state(payload["predicate"])
         pred_key = state.pred_key
         qid = payload["qid"]
-        share = payload["share"]
-        memory = self._admit(share)
-        if memory is None:
+        origin, n, floor = share = payload["share"]
+        held = self._memory
+        memory = held.pop(origin, None)  # put back below: LRU order
+        if memory is None or floor > memory["top"]:
+            if memory is None and len(held) >= _ORIGINS_HELD:
+                del held[next(iter(held))]
+            memory = {"floor": floor, "top": n}
+        elif floor > memory["floor"]:
+            self._retire(memory, floor)
+        held[origin] = memory
+        if n < memory["floor"]:
             self._send_reply(state, qid, message.src, mt.FRONTEND_RESPONSE, None, 0)
             return
         query = payload["query"]
@@ -594,11 +610,21 @@ class MoaraNode:
         qid = payload["qid"]
         qkey = (qid, pred_key)
         reply_to = message.src
-        # _admit and _first_delivery, inlined.
+        # The duplicate memory, as in _handle_frontend_query and
+        # _process_query, with the sequential case kept in one step.
         share = payload["share"]
         origin, n, floor = share
-        memory = self._memory.get(origin)
-        if memory is not None and floor <= memory["top"]:
+        held = self._memory
+        memory = held.pop(origin, None)  # put back below: LRU order
+        if memory is None or floor > memory["top"]:
+            # New here, or the floor passes every share held (the
+            # sequential case): a fresh record, one step.
+            if memory is None and len(held) >= _ORIGINS_HELD:
+                del held[next(iter(held))]
+            held[origin] = memory = {"floor": floor, "top": n, n: pred_key}
+            duplicate = qkey in self._pending
+        else:
+            held[origin] = memory
             if floor > memory["floor"]:
                 self._retire(memory, floor)
             elif n < memory["floor"]:
@@ -606,25 +632,22 @@ class MoaraNode:
                 self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
                 return
             first = memory.get(n)
-        else:
-            # The floor passes every share held (the sequential case).
-            memory = first = None
-        if qkey in self._pending or (
-            first is not None and (first == pred_key or (n, pred_key) in memory)
-        ):
+            duplicate = qkey in self._pending or (
+                first is not None and (first == pred_key or (n, pred_key) in memory)
+            )
+            if not duplicate:
+                if first is None:
+                    memory[n] = pred_key
+                    if n > memory["top"]:
+                        memory["top"] = n
+                else:
+                    memory[(n, pred_key)] = None
+        if duplicate:
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
             return
-        if memory is None:
-            self._memory[origin] = memory = {"floor": floor, "top": n, n: pred_key}
-        elif first is None:
-            memory[n] = pred_key
-            if n > memory["top"]:
-                memory["top"] = n
-        else:
-            memory[(n, pred_key)] = None
         if self._gc_enabled:
             now = self._engine.now
             self.gc_policy.on_query(self, pred_key, now)
@@ -720,7 +743,7 @@ class MoaraNode:
         state: PredicateTreeState,
         qid: str,
         share: tuple,
-        memory: list,
+        memory: dict,
         seq: int,
         query: Query,
         reply_to: int,
@@ -730,12 +753,20 @@ class MoaraNode:
         pred_key = state.pred_key
         key = (qid, pred_key)
         n = share[1]
-        if not self._first_delivery(memory, n, key, pred_key):
+        first = memory.get(n)
+        if key in self._pending or (
+            first is not None and (first == pred_key or (n, pred_key) in memory)
+        ):
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
             self._send_reply(state, qid, reply_to, reply_mtype, None, 0)
             return
+        if first is None:
+            memory[n] = pred_key
+            memory["top"] = max(memory["top"], n)
+        else:
+            memory[(n, pred_key)] = None
         if self._gc_enabled:
             now = self._engine.now
             self.gc_policy.on_query(self, pred_key, now)
@@ -804,19 +835,6 @@ class MoaraNode:
                 self._child_timeout, self._on_timeout, key
             )
 
-    def _admit(self, share: tuple) -> Optional[dict]:
-        """The memory of ``share``'s origin after retiring what the
-        share's floor passes; None if the share is below the floor."""
-        origin, n, floor = share
-        memory = self._memory.get(origin)
-        if memory is None or floor > memory["top"]:
-            self._memory[origin] = memory = {"floor": floor, "top": n}
-        elif floor > memory["floor"]:
-            self._retire(memory, floor)
-        elif n < memory["floor"]:
-            return None
-        return memory
-
     @staticmethod
     def _retire(memory: dict, floor: int) -> None:
         """Raise an origin's floor, keeping the shares at or above it."""
@@ -825,20 +843,6 @@ class MoaraNode:
             k for k in memory if type(k) is not str and (abs(k) if type(k) is int else k[0]) < floor
         ]:
             del memory[key]
-
-    def _first_delivery(self, memory: dict, n: int, qkey: tuple, pred_key: str) -> bool:
-        """Record share ``n`` down the ``pred_key`` tree; False on a repeat."""
-        if qkey in self._pending:
-            return False
-        first = memory.get(n)
-        if first is None:
-            memory[n] = pred_key
-            memory["top"] = max(memory["top"], n)
-            return True
-        if first == pred_key or (n, pred_key) in memory:
-            return False
-        memory[(n, pred_key)] = None
-        return True
 
     def _local_contribution(self, memory: dict, n: int, query: Query) -> tuple[Any, bool]:
         """Our own (value, contributed) for share ``n`` of a query, with

@@ -182,7 +182,10 @@ class RemoteNetwork:
         deadline = self._active_deadline
         if deadline is None and tag is not None:
             deadline = self._tag_deadlines.get(tag)
-        if deadline is not None and deadline.expired:
+        # One clock read: a budget that runs out between a check and the
+        # frame would reach the overlay spent, and be dropped unanswered.
+        left = deadline.remaining() if deadline is not None else None
+        if left is not None and left <= 0.0:
             # Nobody is waiting any more: don't burn the overlay's time.
             self.stats.record_drop()
             self.stats.deadline_expired += 1
@@ -208,7 +211,7 @@ class RemoteNetwork:
             "payload": payload,
         }
         if deadline is not None:
-            frame["deadline"] = deadline.remaining()
+            frame["deadline"] = left
             if tag is not None:
                 self._register_deadline(tag, deadline)
         writer.write(encode_frame(frame))
@@ -239,13 +242,17 @@ class RemoteNetwork:
         table[tag] = deadline
         if len(table) > self._deadline_sweep_at:
             # Only tags nobody drained (a lost answer) are left to expire
-            # here.  The threshold doubles with what survives, so the
-            # sweep is amortised O(1) per registration however many
-            # queries are in flight.
+            # here, and they resolve NULL: nothing else would end them.
+            # The threshold doubles with what survives, so the sweep is
+            # amortised O(1) per registration however many queries are
+            # in flight.
+            expired = {t for t, d in table.items() if d.expired}
             self._tag_deadlines = table = {
-                t: d for t, d in table.items() if not d.expired
+                t: d for t, d in table.items() if t not in expired
             }
             self._deadline_sweep_at = max(512, 2 * len(table))
+            if expired:
+                self._fail_tags(expired, "end-to-end deadline exceeded")
 
     def _fail_tags(self, tags: Optional[set[str]], reason: str) -> None:
         """Resolve in-flight front-end work for ``tags`` as NULL (all of

@@ -23,6 +23,7 @@ from repro.core import messages as mt
 from repro.core.cluster import MoaraCluster
 from repro.core.frontend import Frontend
 from repro.core.parser import parse_query
+from repro.serve.transport import LinkFault
 from repro.sim.network import Message
 
 CALLER = -99
@@ -244,6 +245,9 @@ def test_frontend_restarted_under_a_reused_node_id_gets_exact_answers() -> None:
         cluster.run_until_idle()
         result = fresh.results.pop(qid)
         assert (result.value, result.failed) == (40, False)
+        # Its tags are new too: the dead one's drained tags (tombstoned
+        # in the message ledger) would have read 0 messages.
+        assert result.message_cost > 0
 
 
 def test_link_reset_rolls_the_origin_and_spares_the_joined_walk() -> None:
@@ -288,6 +292,52 @@ def test_link_reset_rolls_the_origin_and_spares_the_joined_walk() -> None:
         assert fe0.results.pop(qid).value == (40 if n % 2 else 10)
     assert _entries(cluster, abandoned) == left
     assert fe0._origin != abandoned
+
+
+def test_a_node_keeps_the_memory_of_at_most_64_origins() -> None:
+    cluster, node, caller = _single_node()
+    assert _deliver(cluster, node, caller, 1, floor=1)["contributors"] == 1
+    # 100 origins each leave an unheard share behind (failed over, say),
+    # while the live origin keeps coming back.
+    for k in range(100):
+        _deliver(cluster, node, caller, 1, floor=1, origin=f"gone{k}")
+        if k % 10 == 0:
+            assert _deliver(cluster, node, caller, 2 + k, floor=1)["contributors"] == 1
+    assert len(node._memory) == 64
+    assert set(node._memory) == {ORIGIN} | {f"gone{k}" for k in range(37, 100)}
+    # What the live origin holds was never dropped: its unheard share
+    # is still suppressed.
+    assert _empty(_deliver(cluster, node, caller, 1, floor=1))
+
+
+def test_lost_frontend_queries_leave_a_bounded_memory() -> None:
+    plane = LoopbackPlane(120, seed=9, num_frontends=1)
+    plane.set_group("web", plane.node_ids[::4])  # 30 members
+    plane.set_group("db", plane.node_ids[1::12])  # 10 members
+    (fe,) = plane.frontends
+    link = plane.transports[0]
+    cluster = plane.cluster
+
+    def ask(text: str):
+        qid = fe.submit(text)
+        plane._drive([(fe, qid)])
+        return fe.results.pop(qid)
+
+    counts, origins = {}, set()
+    for round_ in range(1, 101):
+        # The FRONTEND_QUERY is lost on its way to the root, so its share
+        # is never heard; the plane resolves it NULL once nothing else
+        # moves (on sockets, the transport's deadline sweep does).
+        link.inject(LinkFault("drop", "outbound", until=cluster.engine.now + 0.5))
+        assert ask("SELECT COUNT(*) WHERE web = true").failed
+        plane.advance(1.0)
+        assert ask("SELECT COUNT(*) WHERE web = true").value == 30
+        assert ask("SELECT COUNT(*) WHERE db = true").value == 10
+        origins.add(fe._origin)
+        counts[round_] = _entries(cluster)
+    assert len(origins) == 100  # every loss moved the front-end on
+    assert max(len(node._memory) for node in cluster.nodes.values()) == 64
+    assert counts[70] == counts[100]
 
 
 def test_retained_bytes_per_query_on_512_nodes() -> None:

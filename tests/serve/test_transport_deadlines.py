@@ -137,10 +137,14 @@ def test_unanswered_tags_are_swept_once_expired() -> None:
     for n in range(600, 1100):
         with net.deadline_scope(Deadline.after(5.0, clock=lambda: clock[0])):
             frontend.submit(n)
-    # The sweep at 1027 entries dropped the 600 expired ones.
+    # The sweep at 1027 entries dropped the 600 expired ones, and
+    # resolved them NULL: their answers will not come.
     assert len(net._tag_deadlines) == 500
     assert all(int(tag[1:]) >= 600 for tag in net._tag_deadlines)
     assert net._deadline_sweep_at == 2 * 427
+    assert frontend.failures == [
+        ({f"p{n}" for n in range(600)}, "end-to-end deadline exceeded")
+    ]
 
 
 def test_failed_tags_release_their_deadline() -> None:
@@ -162,3 +166,22 @@ def test_failed_tags_release_their_deadline() -> None:
         frontend.submit(3)
     net._fail_tags(None, "overlay link lost")
     assert not net._tag_deadlines
+
+
+def test_no_frame_leaves_with_a_spent_budget() -> None:
+    net, writer, frontend = _harness()
+    clock = [0.0]
+
+    def ticking() -> float:
+        clock[0] += 0.5  # every read of the clock moves it on
+        return clock[0]
+
+    # Expires at 1.5: the first send reads 1.0 and goes out with 0.5
+    # left; the second reads 1.5 and is refused.  A check and a second
+    # read for the frame would have sent the first one spent, and the
+    # overlay drops a spent frame without an answer.
+    with net.deadline_scope(Deadline.after(1.0, clock=ticking)):
+        frontend.submit(1)
+        frontend.submit(2)
+    assert [frame["deadline"] for frame in writer.frames] == [0.5]
+    assert frontend.failures == [({"p2"}, "end-to-end deadline exceeded")]
