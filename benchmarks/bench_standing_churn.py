@@ -80,10 +80,12 @@ def run_standing_churn() -> dict:
     frontend = cluster.frontends[0]
     handle = frontend.subscribe(QUERY)
     cluster.run_until_idle()  # installs flood once; excluded from deltas
-    # The subscribe cost, read before the reset: one SUB_INSTALL per node
-    # plus the first reports (only subtrees holding a member send one).
+    # The subscribe cost, read before the reset: the tree is cold (never
+    # queried), so one SUB_INSTALL per node plus the first reports (only
+    # subtrees holding a member send one).
     install_msgs = cluster.stats.total_messages
     install_deltas = cluster.stats.by_type["SUB_DELTA"]
+    installs = cluster.stats.by_type["SUB_INSTALL"]
     cluster.stats.reset()
     rng = random.Random(SEED + 1)
     mismatches = 0
@@ -116,11 +118,34 @@ def run_standing_churn() -> dict:
         "mismatches": mismatches,
         "install_msgs": install_msgs,
         "install_deltas": install_deltas,
+        "installs": installs,
+    }
+
+
+def run_warm_subscribe() -> dict:
+    """The same subscribe after one one-shot query has pruned the tree:
+    installs stop at the PRUNE frontier.  ``member_paths`` counts the
+    nodes on some member's path to the root -- members x depth, less what
+    the paths share -- which no install can skip."""
+    cluster = _build(SEED)
+    cluster.query(QUERY)
+    cluster.run_until_idle()
+    cluster.stats.reset()
+    cluster.frontends[0].subscribe(QUERY)
+    cluster.run_until_idle()
+    tree = cluster.overlay.tree(cluster.overlay.space.hash_name("svc"))
+    members = cluster.members_satisfying("svc = true")
+    return {
+        "install_msgs": cluster.stats.total_messages,
+        "installs": cluster.stats.by_type["SUB_INSTALL"],
+        "members": len(members),
+        "member_paths": len({a for m in members for a in tree.path_to_root(m)}),
     }
 
 
 def test_standing_beats_repolling_under_churn(benchmark, emit) -> None:
     row = run_once(benchmark, run_standing_churn)
+    warm = run_warm_subscribe()
     lines = [
         f"Standing deltas vs naive re-polling at equal freshness "
         f"(N={row['nodes']}, {row['rounds']} churn rounds, "
@@ -133,6 +158,11 @@ def test_standing_beats_repolling_under_churn(benchmark, emit) -> None:
         f"standing/polling ratio: {row['ratio']:.3f}",
         f"subscribe (before the rounds): {row['install_msgs']} msgs, "
         f"of which {row['install_deltas']} first-report deltas",
+        f"{'subscribe':>12s}{'wire msgs':>12s}{'installs':>12s}",
+        f"{'cold tree':>12s}{row['install_msgs']:>12d}{row['installs']:>12d}",
+        f"{'warm tree':>12s}{warm['install_msgs']:>12d}{warm['installs']:>12d}"
+        f"  ({warm['members']} members, {warm['member_paths']} nodes on"
+        f" their root paths)",
     ]
     emit("standing_churn", lines)
 

@@ -88,8 +88,10 @@ the subscription id as ``sub_id`` -- **never** ``qid``/``probe_id`` --
 so the network's per-query tag accounting ignores them (a tag that is
 never drained by ``pop_tag`` would otherwise grow without bound).
 
-``SUB_INSTALL`` (front-end -> cover-tree root, then fanned down the raw
-    DHT tree for the group's attribute):
+``SUB_INSTALL`` (front-end -> cover-tree root, then down the group
+    attribute's DHT tree to every child whose one-shot report at the
+    sender is not PRUNE; later, to a pruned child that reports a
+    member below it):
     ``sub_id``, ``query`` the full standing :class:`~repro.core.query.
     Query`, ``predicate`` the cover group this tree serves, ``cover``
     the full chosen cover (tuple of group :class:`~repro.core.
@@ -129,10 +131,12 @@ never drained by ``pop_tag`` would otherwise grow without bound).
     from a re-rooting delta (a front-end that tore the subscription
     down cancels it again instead of dropping the update as late).
 
-``SUB_CANCEL`` (front-end -> root, fanned down like the install):
+``SUB_CANCEL`` (front-end -> root, then down the edges the install
+    reached -- children a node sent an install to or heard a delta
+    from; a node with no entry fans it down its whole subtree):
     ``sub_id``, ``predicate``, and its ``pred_key`` / ``tree_key``
     (resolved by the sender, like the install's) -- removes the
-    subscription state at every node of that cover tree.
+    subscription state at every node that holds it.
 
 ``SUB_RENEW`` (front-end -> root): ``sub_id``, ``predicate``,
     ``lease`` -- extends the root's lease without reinstalling.
@@ -184,14 +188,14 @@ FRONTEND_QUERY = "FRONTEND_QUERY"
 FRONTEND_RESPONSE = "FRONTEND_RESPONSE"
 
 #: Standing subscription install, fanned down one cover tree
-#: (front-end -> root -> every node of the raw DHT tree).
+#: (front-end -> root -> down to the one-shot PRUNE frontier).
 SUB_INSTALL = "SUB_INSTALL"
 
 #: Replacement subtree partial pushed child -> parent when a
 #: subscription's subtree changed (join/leave/attribute write).
 SUB_DELTA = "SUB_DELTA"
 
-#: Subscription teardown, fanned down the cover tree like the install.
+#: Subscription teardown, down the edges the install reached.
 SUB_CANCEL = "SUB_CANCEL"
 
 #: Lease extension for a live subscription (front-end -> root).

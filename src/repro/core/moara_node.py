@@ -538,6 +538,9 @@ class MoaraNode:
         ``STATE_SYNC``) or riding its ``QUERY_RESPONSE``."""
         state.record_child_report(child, frozenset(update_set), subtree_recv)
         self._recompute(state)
+        if self.standing._subs and update_set:
+            # A member below a child: standing installs follow it there.
+            self.standing.on_child_report(state.pred_key, child)
 
     # ------------------------------------------------------------------
     # query processing (Sections 3.2 and 5)
@@ -1069,7 +1072,7 @@ class MoaraNode:
                     pending.waiting -= gone
                     if not pending.waiting:
                         self._finalize(key)
-        # Standing subscriptions re-derive their raw-tree parents and
+        # Standing subscriptions re-derive their DHT-tree parents and
         # children (and clear themselves if we left the overlay).
         self.standing.on_membership_change(joined, left)
         if self.node_id not in self.overlay:

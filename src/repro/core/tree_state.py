@@ -30,12 +30,12 @@ Key modelling points (see DESIGN.md):
 * ``subtree_recv`` is the lazily aggregated count of nodes in the subtree
   that would receive a query; the root's value gives the query-cost
   estimate ``2 * np`` served to size probes (Section 6.3).
-* The standing-query plane (:mod:`repro.standing`) deliberately
-  **bypasses** this state: PRUNE/NO-UPDATE makes churn inside a pruned
-  region invisible until the next query -- exactly the blind spot a
-  standing subscription exists to close -- so subscriptions fan down
-  the *raw* DHT tree (every node of the attribute's tree) and this
-  module's pruning only ever shapes one-shot query forwarding.
+* The standing-query plane (:mod:`repro.standing`) installs only down
+  to this state's PRUNE frontier.  PRUNE hides no membership change: a
+  child reports it only in UPDATE mode, with no member below it, and
+  reports again the moment one appears (entering NO-UPDATE sends
+  ``{self}``); that report reaches a node holding the subscription,
+  which then installs the child.
 """
 
 from __future__ import annotations

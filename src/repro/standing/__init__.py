@@ -27,11 +27,11 @@ the full comparison):
 * **standing** (this package): group predicates, enmeshed covers,
   leases, and a per-query ordering/staleness contract.
 
-By construction the standing plane closes the known churn blind spot of
-the pruned one-shot trees: it subscribes the **raw DHT tree** (every
-node of the group attribute's tree), bypassing the PRUNE/NO-UPDATE
-state of :mod:`repro.core.tree_state`, so churn in a pruned region
-surfaces as a delta instead of staying invisible until the next poll.
+Subscriptions go only where the group lives: an install stops at the
+one-shot plane's PRUNE frontier (:mod:`repro.core.tree_state`) and
+follows a pruned child once it reports a member below it -- the same
+report that keeps one-shot answers exact -- so a standing query costs
+about what its group costs, not what the system costs.
 """
 
 from repro.standing.agent import StandingAgent

@@ -15,14 +15,15 @@ whenever its subtree's contribution changes:
 * a subtree with nothing to say says nothing: a node that has never
   pushed, still sits under the parent it was installed under, and whose
   subtree partial is empty stays silent -- the parent holding no entry
-  for a child already means "empty".  A cold install therefore costs one
-  ``SUB_INSTALL`` per node plus one ``SUB_DELTA`` per hop from each
-  contributor to the root, not one per node;
-* the subscription walks the **raw DHT tree** for the group attribute
-  (``overlay.tree``, memoised per tree and membership version in
-  :meth:`StandingAgent._place`), deliberately bypassing the
-  PRUNE state of :mod:`repro.core.tree_state`: every churn event in the
-  subtree is visible by construction.
+  for a child already means "empty";
+* an install goes down the group attribute's DHT tree (memoised per
+  membership version in :meth:`StandingAgent._place`) and skips each
+  child whose one-shot report here is PRUNE.  Such a child has no member
+  below it and is in UPDATE mode, so it reports when one appears, and
+  that report installs it (:meth:`StandingAgent.on_child_report`).  A
+  cold tree costs one ``SUB_INSTALL`` per node, a warm one about members
+  x depth, and a cancel retraces the edges reached; deltas cost one
+  ``SUB_DELTA`` per hop from each contributor to the root.
 
 Enmeshed covers and duplicate suppression: a node satisfying the
 standing query's predicate may belong to several groups of an OR cover.
@@ -142,6 +143,9 @@ class _Subscription:
     #: child node id -> (partial, contributors) it last pushed to us; a
     #: child without an entry has an empty subtree.
     child_partials: dict[int, tuple[Any, int]] = field(default_factory=dict)
+    #: children that may hold this subscription through us (we sent them
+    #: an install, or they pushed us a delta): where a cancel goes.
+    reached: set[int] = field(default_factory=set)
     #: last (partial, contributors) pushed up (suppression state).
     last_pushed: Optional[tuple[Any, int]] = None
     #: parent at the time of the last push (re-push on change).
@@ -197,7 +201,7 @@ class StandingAgent:
         return len(self._subs)
 
     # ------------------------------------------------------------------
-    # tree navigation (raw DHT tree -- no prune state)
+    # tree navigation (the DHT tree; the one-shot reports prune installs)
     # ------------------------------------------------------------------
 
     def _place(self, tree_key: int) -> tuple[int, Optional[int], Sequence[int]]:
@@ -235,8 +239,10 @@ class StandingAgent:
         # Idempotent fan-down: reach children that joined since the last
         # sweep (the front-end re-installs on every membership change).
         # The flood's one payload goes down as it came.
-        self._fan_down(sub, mt.SUB_INSTALL, payload)
-        self._push(sub)
+        self._install_down(sub, payload)
+        # Installed over an edge churn has since moved: tell our parent,
+        # or no cancel would ever reach us.
+        self._push(sub, force=sub.known_parent not in (None, message.src))
         self.expire_stale(self._node.network.engine.now)
 
     def handle_delta(self, message: Message) -> None:
@@ -261,6 +267,7 @@ class StandingAgent:
             # accepting it would double-count its subtree, which now
             # reaches the root through its new parent.
             return
+        sub.reached.add(message.src)
         sub.child_partials[message.src] = (
             payload["partial"],
             payload["contributors"],
@@ -271,15 +278,14 @@ class StandingAgent:
 
     def handle_cancel(self, message: Message) -> None:
         payload = message.payload
-        self._subs.pop((payload["sub_id"], payload["pred_key"]), None)
-        # Fan down unconditionally: teardown must reach descendants that
-        # still hold state even if our own entry drifted away (each node
-        # receives one cancel from its parent; the tree is finite and
-        # acyclic, so the fan terminates).
-        children = self._place(payload["tree_key"])[2]
-        if children:
-            node = self._node
-            node.network.send_many(node.node_id, children, mt.SUB_CANCEL, payload)
+        sub = self._subs.pop((payload["sub_id"], payload["pred_key"]), None)
+        # Down the edges the subscription reached.  Without an entry (a
+        # repeated cancel) there is no record of them: fan down the whole
+        # subtree, which still reaches every descendant holding state.
+        if sub is None:
+            self._fan_down(self._place(payload["tree_key"])[2], mt.SUB_CANCEL, payload)
+        else:
+            self._cancel_down(sub, payload)
 
     def handle_renew(self, message: Message) -> None:
         payload = message.payload
@@ -295,6 +301,17 @@ class StandingAgent:
     # ------------------------------------------------------------------
     # churn hooks (called from MoaraNode)
     # ------------------------------------------------------------------
+
+    def on_child_report(self, pred_key: str, child: int) -> None:
+        """A child's one-shot report names a member below it: every
+        subscription on that group that has not reached the child installs
+        it there, and it fans down under the same rule."""
+        node = self._node
+        for sub in self._subs.values():
+            if sub.pred_key == pred_key and child not in sub.reached:
+                if child in self._children(sub):
+                    sub.reached.add(child)
+                    node.network.send(node.node_id, child, mt.SUB_INSTALL, _install_payload(sub))
 
     def on_attribute_change(self, name: str) -> None:
         """A local attribute changed: re-push every affected subscription
@@ -322,6 +339,7 @@ class StandingAgent:
                 c for c in sub.child_partials if c not in children
             ]:
                 del sub.child_partials[child]
+            sub.reached.intersection_update(children)
             parent = self._parent(sub)
             if parent != sub.known_parent:
                 if parent is None and sub.lease > 0 and sub.expires_at == 0.0:
@@ -385,11 +403,7 @@ class StandingAgent:
                     "expired": True,
                 },
             )
-            self._fan_down(
-                sub,
-                mt.SUB_CANCEL,
-                cancel_payload(sub.sub_id, sub.predicate, node.overlay.space),
-            )
+            self._cancel_down(sub, cancel_payload(sub.sub_id, sub.predicate, node.overlay.space))
         self._next_expiry = next_expiry
 
     # ------------------------------------------------------------------
@@ -423,14 +437,27 @@ class StandingAgent:
             self._arm(sub, self._node.network.engine.now + sub.lease)
         return sub
 
-    def _fan_down(
-        self, sub: _Subscription, mtype: str, payload: dict[str, Any]
-    ) -> None:
-        children = self._children(sub)
+    def _install_down(self, sub: _Subscription, payload: dict[str, Any]) -> None:
+        """Install every child but those whose one-shot report here is
+        PRUNE (no state, or no report: covered)."""
+        state = self._node.states.get(sub.pred_key)
+        reports = state.children if state is not None else {}
+        children = [
+            c
+            for c in self._children(sub)
+            if c not in reports or reports[c].update_set != frozenset()
+        ]
+        sub.reached.update(children)
+        self._fan_down(children, mt.SUB_INSTALL, payload)
+
+    def _cancel_down(self, sub: _Subscription, payload: dict[str, Any]) -> None:
+        children = [c for c in self._children(sub) if c in sub.reached]
+        self._fan_down(children, mt.SUB_CANCEL, payload)
+
+    def _fan_down(self, children: Sequence[int], mtype: str, payload: dict[str, Any]) -> None:
         if children:
-            self._node.network.send_many(
-                self._node.node_id, children, mtype, payload
-            )
+            node = self._node
+            node.network.send_many(node.node_id, children, mtype, payload)
 
     def _local_contribution(self, sub: _Subscription) -> tuple[Any, int]:
         """This node's own (partial, contributed) for the standing query,

@@ -18,6 +18,7 @@ from repro.campaigns import values_equal
 from repro.core import MoaraCluster
 from repro.core import messages as mt
 from repro.sim.network import Message
+from repro.standing.agent import install_payload
 
 NUM_NODES = 30
 
@@ -259,7 +260,9 @@ def test_only_a_rerooting_delta_installs_and_the_frontend_cancels_it(cluster) ->
     assert tree.depth_of(child) > 1
     assert cluster.stats.by_type[mt.SUB_DELTA] == tree.depth_of(child)
     assert cluster.stats.by_type[mt.STANDING_UPDATE] == 1
-    assert cluster.stats.by_type[mt.SUB_CANCEL] == len(cluster)
+    # The cancel retraces the lazily installed path: front-end -> root,
+    # then one per edge the deltas climbed.
+    assert cluster.stats.by_type[mt.SUB_CANCEL] == 1 + tree.depth_of(child)
 
 
 def test_crash_and_join_converge(cluster) -> None:
@@ -595,3 +598,153 @@ def test_lease_is_enforced_by_the_root_that_took_over(cluster):
     cluster.run(2.0)  # t = 9
     _touch(cluster, 21.0)
     assert handle.expired and _node_leaks(cluster) == {}
+
+
+# ----------------------------------------------------------------------
+# warm trees: installs stop at the one-shot PRUNE frontier
+# ----------------------------------------------------------------------
+
+SVC_QUERY = "SELECT COUNT(*) WHERE svc = true"
+
+
+def _warm_svc_cluster(queries: int = 1) -> MoaraCluster:
+    """:func:`_svc_cluster` after one-shot queries: its tree is pruned.
+    After one, the wide interior nodes sit in NO-UPDATE and so stay
+    covered; from the third on they report PRUNE too."""
+    cluster = _svc_cluster()
+    for _ in range(queries):
+        assert cluster.query(SVC_QUERY).value == 10
+        cluster.run_until_idle()
+    return cluster
+
+
+def _pruned_descent(cluster: MoaraCluster, attr: str, pred_key: str) -> list[int]:
+    """The nodes a descent from the root reaches over the raw DHT tree when
+    it skips every child its parent's one-shot state holds PRUNE for."""
+    tree = _tree(cluster, attr)
+    reached = [tree.root]
+    for node_id in reached:
+        state = cluster.nodes[node_id].tree_state(pred_key)
+        reports = state.children if state is not None else {}
+        reached.extend(
+            child
+            for child in tree.children_of(node_id)
+            if child not in reports or reports[child].update_set != frozenset()
+        )
+    return reached
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+def test_warm_subscribe_installs_only_down_to_the_prune_frontier(queries):
+    cluster = _warm_svc_cluster(queries)
+    frontend = cluster.frontends[0]
+    cluster.stats.reset()
+    handle = frontend.subscribe(SVC_QUERY)
+    cluster.run_until_idle()
+    (pred_key,) = handle.cover
+    reached = _pruned_descent(cluster, "svc", pred_key)
+    assert set(cluster.node_ids[SVC]) <= set(reached)
+    assert len(reached) < len(cluster) // 2
+    # One install from the front-end to the root, one per edge descended.
+    assert cluster.stats.by_type[mt.SUB_INSTALL] == len(reached)
+    assert set(_subs(cluster, handle)) == set(reached)
+    assert handle.current_value() == 10
+    cluster.stats.reset()
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    # The cancel retraces the installed edges, and only those.
+    assert cluster.stats.by_type[mt.SUB_CANCEL] == len(reached)
+    assert _node_leaks(cluster) == {}
+
+
+@pytest.mark.parametrize("queries, under_pruned_parent", [(1, False), (3, True)])
+def test_a_pruned_non_member_joining_the_group_is_installed_and_folded(
+    queries, under_pruned_parent
+):
+    cluster = _warm_svc_cluster(queries)
+    handle = cluster.frontends[0].subscribe(SVC_QUERY)
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    # The deepest pruned node, below a pruned parent where there is one.
+    joiner = max(
+        (n for n in cluster.node_ids if n not in subs),
+        key=lambda n: (tree.parent_of(n) not in subs, tree.depth_of(n), n),
+    )
+    assert (tree.parent_of(joiner) not in subs) == under_pruned_parent
+    cluster.set_attribute(joiner, "svc", True)
+    cluster.run_until_idle()
+    # Its un-prune report climbed to the first installed ancestor, which
+    # installed the path back down to it.
+    subs = _subs(cluster, handle)
+    assert set(tree.path_to_root(joiner)) <= set(subs)
+    assert subs[joiner].last_pushed == (1, 1)
+    assert handle.current_value() == 11
+    _assert_matches(cluster, handle)
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+@pytest.mark.parametrize("leaver", ["member", "frontier", "pruned"])
+def test_join_and_leave_between_a_warm_install_and_its_cancel_leak_nothing(leaver, queries):
+    cluster = _warm_svc_cluster(queries)
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe(SVC_QUERY)
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    members = set(cluster.node_ids[SVC])
+    candidates = {
+        "member": [n for n in subs if n in members],
+        "frontier": [n for n in subs if n not in members],
+        "pruned": [n for n in cluster.node_ids if n not in subs],
+    }[leaver]
+    victim = max(
+        (n for n in candidates if n not in (tree.root, frontend.node_id)),
+        key=lambda n: (len(tree.children_of(n)), n),
+    )
+    joined = cluster.join_node()
+    cluster.run_until_idle()
+    cluster.leave_node(victim)
+    cluster.run_until_idle()
+    assert cluster.query(SVC_QUERY).value == len(members - {victim})
+    cluster.run_until_idle()
+    _assert_matches(cluster, handle)
+    cluster.set_attribute(joined, "svc", True)
+    cluster.run_until_idle()
+    _assert_matches(cluster, handle)
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
+
+
+def test_an_install_over_an_edge_churn_moved_reports_to_the_real_parent():
+    """An install can land after churn moved its receiver under another
+    parent, which then has no record of it.  The receiver tells that
+    parent, so the cancel still finds it."""
+    cluster = _warm_svc_cluster(3)
+    frontend = cluster.frontends[0]
+    handle = frontend.subscribe(SVC_QUERY)
+    cluster.run_until_idle()
+    tree = _tree(cluster, "svc")
+    subs = _subs(cluster, handle)
+    stray = next(n for n in cluster.node_ids if n not in subs and tree.parent_of(n) not in subs)
+    sender = next(n for n in subs if n != tree.parent_of(stray))
+    payload = install_payload(
+        handle.sub_id,
+        handle.query,
+        handle.query.predicate,
+        subs[sender].cover,
+        0.0,
+        frontend.node_id,
+        cluster.overlay.space,
+    )
+    cluster.stats.reset()
+    cluster.network.send(sender, stray, mt.SUB_INSTALL, payload)
+    cluster.run_until_idle()
+    # One re-rooting delta per hop up to the first installed ancestor.
+    path = tree.path_to_root(stray)
+    installed_at = next(i for i, n in enumerate(path) if n in subs)
+    assert cluster.stats.by_type[mt.SUB_DELTA] == installed_at
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
