@@ -90,8 +90,8 @@ never drained by ``pop_tag`` would otherwise grow without bound).
 
 ``SUB_INSTALL`` (front-end -> cover-tree root, then down the group
     attribute's DHT tree to every child whose one-shot report at the
-    sender is not PRUNE; later, to a pruned child that reports a
-    member below it):
+    sender is not PRUNE, or that an earlier install of it reached;
+    later, to a pruned child that reports a member below it):
     ``sub_id``, ``query`` the full standing :class:`~repro.core.query.
     Query`, ``predicate`` the cover group this tree serves, ``cover``
     the full chosen cover (tuple of group :class:`~repro.core.

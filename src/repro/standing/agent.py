@@ -22,8 +22,10 @@ whenever its subtree's contribution changes:
   below it and is in UPDATE mode, so it reports when one appears, and
   that report installs it (:meth:`StandingAgent.on_child_report`).  A
   cold tree costs one ``SUB_INSTALL`` per node, a warm one about members
-  x depth, and a cancel retraces the edges reached; deltas cost one
-  ``SUB_DELTA`` per hop from each contributor to the root.
+  x depth; a refresh (a replan's new cover, a re-install sweep) and a
+  cancel also retrace the edges reached, so they find holders a later
+  one-shot query pruned; deltas cost one ``SUB_DELTA`` per hop from
+  each contributor to the root.
 
 Enmeshed covers and duplicate suppression: a node satisfying the
 standing query's predicate may belong to several groups of an OR cover.
@@ -439,13 +441,15 @@ class StandingAgent:
 
     def _install_down(self, sub: _Subscription, payload: dict[str, Any]) -> None:
         """Install every child but those whose one-shot report here is
-        PRUNE (no state, or no report: covered)."""
+        PRUNE (no state, or no report: covered).  A child the subscription
+        already reached still gets it: it may hold the subscription below
+        the frontier, and a refresh must carry it the new cover."""
         state = self._node.states.get(sub.pred_key)
         reports = state.children if state is not None else {}
         children = [
             c
             for c in self._children(sub)
-            if c not in reports or reports[c].update_set != frozenset()
+            if c in sub.reached or c not in reports or reports[c].update_set != frozenset()
         ]
         sub.reached.update(children)
         self._fan_down(children, mt.SUB_INSTALL, payload)

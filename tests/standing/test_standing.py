@@ -748,3 +748,63 @@ def test_an_install_over_an_edge_churn_moved_reports_to_the_real_parent():
     frontend.standing.cancel(handle)
     cluster.run_until_idle()
     assert _node_leaks(cluster) == {}
+
+
+def test_a_replan_refreshes_the_cover_at_holders_below_the_prune_frontier():
+    """A replan re-installs each kept group to refresh the node-side cover
+    tuple.  A node installed while the tree was cold still holds the
+    subscription after one-shot queries prune it, so the refresh follows
+    the edges the subscription reached, not only the live frontier:
+    otherwise that node, joining the kept and the new group, would count
+    under its stale cover in the kept tree as well as in the new one."""
+    cluster = MoaraCluster(200, seed=6)
+    ids = cluster.node_ids
+    cluster.set_group("web", ids[5:15])
+    cluster.set_group("zz", ids[20:23])
+    cluster.set_group("db", ids[30:80])
+    cluster.run_until_idle()
+    frontend = cluster.frontends[0]
+    kept, old, new = "(web = true)", "(zz = true)", "(db = true)"
+    assert new < kept < old, "the joiner must be designated in the new tree"
+
+    def replan_costs(costs: tuple[float, float, float]) -> None:
+        for key, cost in zip((kept, old, new), costs):
+            frontend.size_cache.put(key, cost, cluster.now)
+
+    replan_costs((20.0, 6.0, 100.0))
+    handle = frontend.subscribe("SELECT COUNT(*) WHERE web = true OR (zz = true AND db = true)")
+    cluster.run_until_idle()
+    assert sorted(handle.cover) == [kept, old]
+    key = (handle.sub_id, kept)
+
+    def holders() -> dict:
+        return {n: node.standing._subs[key] for n, node in cluster.nodes.items()
+                if key in node.standing._subs}
+
+    # Installed cold, then pruned by one-shot queries.
+    assert set(holders()) == set(ids)
+    for _ in range(3):
+        cluster.query("SELECT COUNT(*) WHERE web = true")
+        cluster.run_until_idle()
+    tree = _tree(cluster, "web")
+
+    def pruned(node_id: int) -> bool:
+        state = cluster.nodes[tree.parent_of(node_id)].tree_state(kept)
+        report = state.children.get(node_id) if state is not None else None
+        return report is not None and report.update_set == frozenset()
+
+    joiner = next(n for n in ids[100:] if n not in (tree.root, frontend.node_id) and pruned(n))
+    replan_costs((20.0, 1000.0, 2.0))
+    frontend.standing._maybe_replan(frontend.standing._subs[handle.sub_id], cluster.now)
+    cluster.run_until_idle()
+    assert sorted(handle.cover) == [new, kept]
+    assert {frozenset(g.canonical() for g in sub.cover) for sub in holders().values()} == {
+        frozenset([kept, new])
+    }
+    cluster.set_attribute(joiner, "web", True)
+    cluster.set_attribute(joiner, "db", True)
+    cluster.run_until_idle()
+    _assert_matches(cluster, handle)
+    frontend.standing.cancel(handle)
+    cluster.run_until_idle()
+    assert _node_leaks(cluster) == {}
